@@ -6,11 +6,12 @@
 // Network A and Network B, at batch sizes 1/8/64/512. The batch engines are
 // bit-exact with the per-sample paths, so the speedup is pure engineering:
 // no per-call allocation, weight rows streamed once per tile instead of once
-// per sample, contiguous inner loops over samples. Also reports the
-// fleet-level win: devices/sec with batched classification on vs off, and the
-// SIMD tier axis for the 16-bit path (Fixed16Batch re-measured at every
+// per sample, contiguous inner loops over samples. Also reports the fleet's
+// label-table gather against batch inference on the same test-set picks, and
+// the SIMD tier axis for the 16-bit path (Fixed16Batch re-measured at every
 // runnable tier with a byte-identity check against the per-sample oracle —
-// the process exits non-zero if any tier's outputs differ).
+// the process exits non-zero if any tier's outputs, or any gathered label,
+// differ).
 // Results land in BENCH_nn_batch_throughput.json.
 #include <algorithm>
 #include <chrono>
@@ -22,7 +23,6 @@
 #include "common/hostinfo.hpp"
 #include "common/simd.hpp"
 #include "core/app.hpp"
-#include "fleet/fleet_engine.hpp"
 #include "nn/batch.hpp"
 #include "nn/presets.hpp"
 #include "report.hpp"
@@ -224,41 +224,54 @@ bool bench_network(const char* tag, const iw::nn::Network& net,
   return tiers_ok;
 }
 
-void bench_fleet_delta(iw::bench::JsonReport& json) {
-  // Small shared app (same shape as the fleet test suite's), 200 devices.
+/// Fleet classification: every detection window the fleet classifies is a
+/// row of the app's test set, so it reads the label from the table the app
+/// builds once (StressDetectionApp::fixed_test_label) instead of running the
+/// network. Compares that gather with batch inference on the same picks;
+/// returns false when any label differs.
+bool bench_fleet_classify(iw::bench::JsonReport& json) {
+  // Small shared app (same shape as iw_fleetd --app's).
   iw::core::AppConfig app_config;
   app_config.dataset.subjects = 2;
   app_config.dataset.minutes_per_level = 2.0;
   app_config.training.max_epochs = 40;
   const iw::core::StressDetectionApp app =
       iw::core::StressDetectionApp::build(app_config);
+  const iw::nn::Dataset& test = app.test_set();
 
-  iw::fleet::FleetConfig config;
-  config.num_devices = 200;
-  config.fleet_seed = 2020;
-  config.days = 1;
-  config.threads = 1;
-  config.app = &app;
+  iw::Rng rng(2020);
+  std::vector<std::size_t> picks(kMaxBatch);
+  std::vector<const float*> rows(kMaxBatch);
+  for (std::size_t j = 0; j < kMaxBatch; ++j) {
+    picks[j] = static_cast<std::size_t>(rng.uniform_int(test.size()));
+    rows[j] = test.inputs[picks[j]].data();
+  }
+  iw::nn::FixedBatch batch(app.quantized());
+  std::vector<std::size_t> labels(kMaxBatch);
+  const double batch_ips = measure_ips(kMaxBatch, [&] {
+    batch.classify(rows, labels);
+    g_sink = static_cast<double>(labels[0]);
+  });
+  const double gather_ips = measure_ips(kMaxBatch, [&] {
+    std::uint64_t counts[3] = {};
+    for (const std::size_t pick : picks) ++counts[app.fixed_test_label(pick)];
+    g_sink = static_cast<double>(counts[0]);
+  });
 
-  config.batched_classification = true;
-  const iw::fleet::FleetResult batched = iw::fleet::FleetEngine(config).run();
-  config.batched_classification = false;
-  const iw::fleet::FleetResult per_sample = iw::fleet::FleetEngine(config).run();
-
-  const bool identical =
-      batched.stats.serialize() == per_sample.stats.serialize();
-  const double delta = per_sample.devices_per_sec > 0.0
-                           ? batched.devices_per_sec / per_sample.devices_per_sec
-                           : 0.0;
-  std::printf("\nfleet (200 devices x 1 day, shared app, 1 thread)\n");
-  std::printf("  batched %10.1f devices/sec   per-sample %10.1f devices/sec"
-              "   delta %5.2fx   results identical: %s\n",
-              batched.devices_per_sec, per_sample.devices_per_sec, delta,
-              identical ? "yes" : "NO");
-  json.add("fleet_batched_devices_per_sec", batched.devices_per_sec);
-  json.add("fleet_persample_devices_per_sec", per_sample.devices_per_sec);
-  json.add("fleet_throughput_delta", delta);
-  json.add("fleet_results_identical", identical ? 1.0 : 0.0);
+  bool identical = true;
+  for (std::size_t j = 0; j < kMaxBatch; ++j) {
+    identical = identical && labels[j] == app.fixed_test_label(picks[j]);
+  }
+  const double speedup = batch_ips > 0.0 ? gather_ips / batch_ips : 0.0;
+  std::printf("\nfleet classification (%zu test-set picks, shared app)\n", kMaxBatch);
+  std::printf("  label gather %12.0f picks/sec   batch %12.0f picks/sec"
+              "   %6.1fx   labels identical: %s\n",
+              gather_ips, batch_ips, speedup, identical ? "yes" : "NO");
+  json.add("fleet_gather_picks_per_sec", gather_ips);
+  json.add("fleet_batch_picks_per_sec", batch_ips);
+  json.add("fleet_gather_speedup", speedup);
+  json.add("fleet_labels_identical", identical ? 1.0 : 0.0);
+  return identical;
 }
 
 }  // namespace
@@ -279,7 +292,7 @@ int main() {
   const iw::nn::Network net_b = iw::nn::make_network_b(rng_b);
   ok = bench_network("netB", net_b, json) && ok;
 
-  bench_fleet_delta(json);
+  ok = bench_fleet_classify(json) && ok;
   json.add("peak_rss_bytes", static_cast<double>(iw::hostinfo::peak_rss_bytes()));
   json.write();
   return ok ? 0 : 1;

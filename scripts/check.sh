@@ -2,7 +2,9 @@
 # Pre-PR gate: the tier-1 test suite, the iw_lint static-analysis matrix
 # over every assembled reference kernel, the iw_lint --wcet certification
 # gate (floor <= dynamic <= ceiling for every kernel), a determinism grep
-# over shipped sources, the trace/interpreter bit-identity
+# over shipped sources, the iw_fleetd smoke and input checks (bad numeric
+# flags, a checkpoint over its own resume file), the trace/interpreter
+# bit-identity
 # smoke, the fleet SIMD-tier bit-identity smoke (plus a portable
 # -DIW_SIMD=OFF build whose smoke digest must match the SIMD build's — the
 # cross-build half of the bit-exactness contract), an
@@ -65,6 +67,31 @@ echo "== iw_fleetd smoke (longitudinal determinism self-check) =="
 ./build/tools/iw_fleetd --smoke
 
 echo
+echo "== iw_fleetd input checks (bad numeric flags, checkpoint over the resume file) =="
+for args in "--shard -1" "--devices 10x" "--threads 0"; do
+  # shellcheck disable=SC2086  # split into flag and value on purpose
+  if ./build/tools/iw_fleetd $args >/dev/null 2>&1; then
+    echo "FAIL: iw_fleetd $args exited 0"
+    exit 1
+  fi
+done
+ckpt_dir=$(mktemp -d)
+./build/tools/iw_fleetd --devices 200 --days 3 --checkpoint "$ckpt_dir/f.ckpt" \
+  --checkpoint-day 1 >/dev/null
+cp "$ckpt_dir/f.ckpt" "$ckpt_dir/banked.ckpt"
+if ./build/tools/iw_fleetd --devices 200 --days 3 --resume "$ckpt_dir/f.ckpt" \
+    --checkpoint "$ckpt_dir/f.ckpt" --checkpoint-day 2 >/dev/null 2>&1; then
+  echo "FAIL: iw_fleetd wrote its checkpoint over the resume file"
+  exit 1
+fi
+if ! cmp -s "$ckpt_dir/f.ckpt" "$ckpt_dir/banked.ckpt"; then
+  echo "FAIL: the resume checkpoint changed"
+  exit 1
+fi
+rm -rf "$ckpt_dir"
+echo "bad flags rejected; resume checkpoint left byte-identical"
+
+echo
 echo "== trace engine smoke (interpreter bit-identity on all targets) =="
 ./build/bench/bench_sim_throughput --smoke
 
@@ -95,7 +122,7 @@ cmake -B build-ubsan -S . -DIW_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$(nproc)" \
   --target test_platform test_fast_day test_cohort_day test_cohort_simd \
   test_fleet test_fleet_cohort test_fleet_simd test_fleet_long test_trace \
-  test_analysis test_wcet_fuzz
+  test_analysis test_wcet_fuzz test_cli_flags
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ./build-ubsan/tests/test_analysis
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
@@ -118,6 +145,8 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ./build-ubsan/tests/test_fleet_simd
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ./build-ubsan/tests/test_fleet_long
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  ./build-ubsan/tests/test_cli_flags
 echo
 echo "== TSan pass (fleet + platform suites) =="
 cmake -B build-tsan -S . -DIW_SANITIZE=thread >/dev/null

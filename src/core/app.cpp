@@ -1,6 +1,7 @@
 #include "core/app.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/error.hpp"
 #include "core/comparison.hpp"
@@ -11,15 +12,27 @@ namespace iw::core {
 
 namespace {
 
-double fixed_accuracy(const nn::QuantizedNetwork& qn, const nn::Dataset& data) {
-  ensure(data.size() > 0, "fixed_accuracy: empty dataset");
-  // The deployment test-set sweep runs through the batch engine: bit-exact
-  // with per-sample classify, one workspace for the whole sweep.
+/// Fixed-point label of every row of `data`. The sweep runs through the batch
+/// engine: bit-exact with per-sample classify, with its overflow checks
+/// applied to every row.
+std::vector<std::uint8_t> fixed_labels(const nn::QuantizedNetwork& qn,
+                                       const nn::Dataset& data) {
   nn::FixedBatch batch(qn);
   std::vector<const float*> rows(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) rows[i] = data.inputs[i].data();
   std::vector<std::size_t> labels(data.size());
   batch.classify(rows, labels);
+  std::vector<std::uint8_t> out(data.size());
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    // Network A has three outputs, one per stress level.
+    ensure(labels[i] < 3, "StressDetectionApp: label outside the three stress levels");
+    out[i] = static_cast<std::uint8_t>(labels[i]);
+  }
+  return out;
+}
+
+double fixed_accuracy(std::span<const std::uint8_t> labels, const nn::Dataset& data) {
+  ensure(data.size() > 0, "fixed_accuracy: empty dataset");
   std::size_t correct = 0;
   for (std::size_t i = 0; i < data.size(); ++i) {
     const std::size_t want = nn::argmax(std::span<const float>(data.targets[i]));
@@ -48,7 +61,8 @@ StressDetectionApp StressDetectionApp::build(const AppConfig& config) {
       nn::QuantizedNetwork::from(*app.network_, config.max_frac_bits));
 
   app.float_accuracy_ = nn::evaluate_accuracy(*app.network_, app.test_);
-  app.fixed_accuracy_ = fixed_accuracy(*app.quantized_, app.test_);
+  app.fixed_test_labels_ = fixed_labels(*app.quantized_, app.test_);
+  app.fixed_accuracy_ = fixed_accuracy(app.fixed_test_labels_, app.test_);
   return app;
 }
 

@@ -8,8 +8,10 @@
 // result is bit-exact with the host fixed-point reference.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "bio/dataset.hpp"
 #include "kernels/runner.hpp"
@@ -40,6 +42,11 @@ class StressDetectionApp {
   double float_test_accuracy() const { return float_accuracy_; }
   double fixed_test_accuracy() const { return fixed_accuracy_; }
 
+  /// Deployed fixed-point label (0..2) of test row `row`, computed once at
+  /// build. The network and the test set are both fixed, so this equals
+  /// `quantized().classify(test_set().inputs[row])` and costs one load.
+  std::size_t fixed_test_label(std::size_t row) const { return fixed_test_labels_[row]; }
+
   /// Host float classification of a raw feature vector.
   bio::StressLevel classify_host(const bio::RawFeatures& raw) const;
   /// Host fixed-point reference classification.
@@ -63,6 +70,7 @@ class StressDetectionApp {
   nn::Dataset test_;
   std::unique_ptr<nn::Network> network_;
   std::unique_ptr<nn::QuantizedNetwork> quantized_;
+  std::vector<std::uint8_t> fixed_test_labels_;
   double float_accuracy_ = 0.0;
   double fixed_accuracy_ = 0.0;
 };

@@ -4,15 +4,12 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "nn/network.hpp"
 #include "platform/detection_cost.hpp"
 #include "platform/scheduler.hpp"
 
 namespace iw::fleet {
 
-CohortRunner::CohortRunner(const core::StressDetectionApp* app,
-                           nn::FixedBatch* batch, bool batched_classification)
-    : app_(app), batch_(batch), use_batching_(batched_classification) {
+CohortRunner::CohortRunner(const core::StressDetectionApp* app) : app_(app) {
   if (app_ != nullptr) build_windows_by_level(*app_, windows_by_level_);
 }
 
@@ -85,8 +82,6 @@ void CohortRunner::run(std::span<const Scenario> scenarios, FleetStats& stats) {
     }
     cohort_.run_day(members_);
 
-    picks_.clear();
-    pick_lane_.clear();
     for (const std::size_t i : active_) {
       const platform::DaySimulationResult& result = results_[i];
       socs_[i] = result.final_soc;
@@ -94,46 +89,12 @@ void CohortRunner::run(std::span<const Scenario> scenarios, FleetStats& stats) {
       if (app_ != nullptr) {
         draw_day_picks(rngs_[i], scenarios[i], windows_by_level_,
                        result.detections_completed, lane_picks_);
-        for (const std::size_t pick : lane_picks_) {
-          picks_.push_back(pick);
-          pick_lane_.push_back(i);
-        }
+        tally_picks(*app_, lane_picks_, outcomes_[i]);
       }
     }
-    classify_staged();
   }
 
   for (std::size_t i = 0; i < n; ++i) stats.add(outcomes_[i]);
-}
-
-void CohortRunner::classify_staged() {
-  if (picks_.empty()) return;
-  const nn::Dataset& test = app_->test_set();
-  if (use_batching_) {
-    if (batch_ == nullptr) {
-      owned_batch_ = std::make_unique<nn::FixedBatch>(app_->quantized());
-      batch_ = owned_batch_.get();
-    }
-    // One batched call covering every cohort device's windows for the day —
-    // the batch engine is bit-exact per row, so pooling rows across devices
-    // yields the same labels each device would compute alone.
-    rows_.clear();
-    for (const std::size_t pick : picks_) rows_.push_back(test.inputs[pick].data());
-    labels_.resize(picks_.size());
-    batch_->classify(rows_, labels_);
-    for (std::size_t j = 0; j < picks_.size(); ++j) {
-      DeviceOutcome& outcome = outcomes_[pick_lane_[j]];
-      ++outcome.class_counts[std::min<std::size_t>(labels_[j], 2)];
-      ++outcome.classified;
-    }
-  } else {
-    for (std::size_t j = 0; j < picks_.size(); ++j) {
-      const std::size_t predicted = app_->quantized().classify(test.inputs[picks_[j]]);
-      DeviceOutcome& outcome = outcomes_[pick_lane_[j]];
-      ++outcome.class_counts[std::min<std::size_t>(predicted, 2)];
-      ++outcome.classified;
-    }
-  }
 }
 
 }  // namespace iw::fleet

@@ -4,8 +4,7 @@
 // completion before touching the next, the cohort runner advances a whole
 // chunk of devices one day at a time through platform::CohortDayState — so
 // segment tables, the detection-gate window and the policy objects are
-// shared across the cohort, and every device's classification windows for a
-// day land in one cross-device FixedBatch::classify call.
+// shared across the cohort.
 //
 // Bit-exactness contract: per device, identical bits to DeviceInstance on
 // the same scenario. The pieces that make that hold:
@@ -16,8 +15,7 @@
 //   * each device's RNG draw order is preserved — lux factor for day d, then
 //     that day's picks, then day d+1 — because days are staged in that order
 //     per lane, and lanes' streams are independent,
-//   * batch classification is bit-exact per row regardless of what else
-//     shares the batch, so pooling rows across devices changes nothing.
+//   * classification is the same label-table gather (tally_picks).
 //
 // One runner per worker thread (its buffers and caches are reused across
 // chunks and are not thread-safe).
@@ -34,7 +32,6 @@
 #include "fleet/device_instance.hpp"
 #include "fleet/fleet_stats.hpp"
 #include "fleet/scenario.hpp"
-#include "nn/batch.hpp"
 #include "platform/cohort_day.hpp"
 
 namespace iw::fleet {
@@ -42,11 +39,8 @@ namespace iw::fleet {
 class CohortRunner {
  public:
   /// `app` may be null (energy/duty-cycle simulation only); when set it must
-  /// outlive the runner. `batch` optionally supplies the worker's shared
-  /// batch workspace (lazily built when null and batching is on).
-  explicit CohortRunner(const core::StressDetectionApp* app = nullptr,
-                        nn::FixedBatch* batch = nullptr,
-                        bool batched_classification = true);
+  /// outlive the runner.
+  explicit CohortRunner(const core::StressDetectionApp* app = nullptr);
 
   /// Simulates every scenario for its full day count (all lanes advance in
   /// lockstep, day by day) and adds each device's outcome to `stats` in
@@ -55,12 +49,8 @@ class CohortRunner {
 
  private:
   const platform::DetectionPolicy* policy_for(const Scenario& scenario);
-  void classify_staged();
 
   const core::StressDetectionApp* app_;
-  nn::FixedBatch* batch_ = nullptr;
-  std::unique_ptr<nn::FixedBatch> owned_batch_;
-  bool use_batching_ = true;
 
   /// Every device uses the same calibrated physics, so sharing one instance
   /// is bit-identical to each device fitting its own.
@@ -90,13 +80,7 @@ class CohortRunner {
   std::vector<double> socs_;
   std::vector<platform::CohortMember> members_;
   std::vector<std::size_t> active_;
-
-  // Cross-device per-day classification staging.
   std::vector<std::size_t> lane_picks_;
-  std::vector<std::size_t> picks_;
-  std::vector<std::size_t> pick_lane_;
-  std::vector<const float*> rows_;
-  std::vector<std::size_t> labels_;
 };
 
 }  // namespace iw::fleet

@@ -81,13 +81,18 @@ void draw_day_picks(Rng& rng, const Scenario& scenario,
   }
 }
 
+void tally_picks(const core::StressDetectionApp& app,
+                 std::span<const std::size_t> picks, DeviceOutcome& outcome) {
+  for (const std::size_t pick : picks) ++outcome.class_counts[app.fixed_test_label(pick)];
+  outcome.classified += picks.size();
+}
+
 DeviceInstance::DeviceInstance(Scenario scenario, const core::StressDetectionApp* app,
-                               nn::FixedBatch* batch, DeviceScratch* scratch)
+                               DeviceScratch* scratch)
     : scenario_(scenario),
       app_(app),
       rng_(scenario.rng_seed),
       scratch_(scratch),
-      batch_(batch),
       soc_(scenario.initial_soc) {
   ensure(scenario_.days >= 1, "DeviceInstance: scenario needs at least one day");
   if (scratch_ == nullptr) {
@@ -113,8 +118,6 @@ DeviceInstance::DeviceInstance(Scenario scenario, const core::StressDetectionApp
     // windows are drawn from the wearer's stress mix out of these buckets.
     build_windows_by_level(*app_, windows_by_level_);
     picks_.reserve(kMaxClassifiedPerDay);
-    rows_.reserve(kMaxClassifiedPerDay);
-    labels_.reserve(kMaxClassifiedPerDay);
   }
 }
 
@@ -153,34 +156,10 @@ void DeviceInstance::run() {
 
 void DeviceInstance::classify_windows(std::uint64_t completed_today) {
   if (app_ == nullptr) return;
-  // Draw the day's windows first (the RNG sequence is part of the fleet
-  // determinism contract and must not depend on how they are classified)...
+  // Draw the day's windows (the RNG sequence is part of the fleet determinism
+  // contract), then count them by their deployed fixed-point label.
   draw_day_picks(rng_, scenario_, windows_by_level_, completed_today, picks_);
-  if (picks_.empty()) return;
-
-  // ...then classify them through the deployed fixed-point network, as the
-  // device would. The batched path is bit-exact with per-sample classify.
-  const nn::Dataset& test = app_->test_set();
-  if (use_batching_) {
-    if (batch_ == nullptr) {
-      owned_batch_ = std::make_unique<nn::FixedBatch>(app_->quantized());
-      batch_ = owned_batch_.get();
-    }
-    rows_.clear();
-    for (const std::size_t pick : picks_) rows_.push_back(test.inputs[pick].data());
-    labels_.resize(picks_.size());
-    batch_->classify(rows_, labels_);
-    for (const std::size_t predicted : labels_) {
-      ++outcome_.class_counts[std::min<std::size_t>(predicted, 2)];
-      ++outcome_.classified;
-    }
-  } else {
-    for (const std::size_t pick : picks_) {
-      const std::size_t predicted = app_->quantized().classify(test.inputs[pick]);
-      ++outcome_.class_counts[std::min<std::size_t>(predicted, 2)];
-      ++outcome_.classified;
-    }
-  }
+  tally_picks(*app_, picks_, outcome_);
 }
 
 }  // namespace iw::fleet

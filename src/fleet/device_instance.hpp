@@ -11,13 +11,13 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/app.hpp"
 #include "fleet/scenario.hpp"
 #include "harvest/harvester.hpp"
-#include "nn/batch.hpp"
 #include "platform/device.hpp"
 
 namespace iw::fleet {
@@ -75,6 +75,13 @@ void draw_day_picks(Rng& rng, const Scenario& scenario,
                     std::uint64_t completed_today,
                     std::vector<std::size_t>& picks);
 
+/// Counts the day's picks into the outcome by their precomputed deployed
+/// label (StressDetectionApp::fixed_test_label). Shared by every day driver;
+/// the label of a test row never changes, so this equals classifying each
+/// pick through the quantized network.
+void tally_picks(const core::StressDetectionApp& app,
+                 std::span<const std::size_t> picks, DeviceOutcome& outcome);
+
 /// Reusable per-worker state for sequentially simulated devices. The fleet
 /// engine keeps one per worker thread so that building and lux-scaling a
 /// device's profile stops allocating after the first device, and so the
@@ -94,23 +101,12 @@ class DeviceInstance {
  public:
   /// `app` may be null (energy/duty-cycle simulation only). When set it must
   /// outlive the instance; it is shared read-only across the whole fleet.
-  /// `batch` optionally supplies a shared batch-inference workspace for the
-  /// app's deployed network (the fleet engine passes one per worker thread so
-  /// devices do not each build their own); it must outlive the instance and
-  /// must not be used concurrently. When null and an app is attached, the
-  /// device lazily builds its own workspace. `scratch` optionally supplies
-  /// per-worker day-profile buffers under the same lifetime/sharing rules;
-  /// when null the device owns its buffers.
+  /// `scratch` optionally supplies per-worker day-profile buffers; it must
+  /// outlive the instance and must not be used concurrently. When null the
+  /// device owns its buffers.
   explicit DeviceInstance(Scenario scenario,
                           const core::StressDetectionApp* app = nullptr,
-                          nn::FixedBatch* batch = nullptr,
                           DeviceScratch* scratch = nullptr);
-
-  /// Disables the batched classification path (per-sample classify instead).
-  /// The outcome is bit-identical either way — the batch engine is bit-exact
-  /// with per-sample inference — so this exists for regression tests and the
-  /// per-sample-vs-batched fleet benchmark. Call before the first step_day().
-  void set_batched_classification(bool enabled) { use_batching_ = enabled; }
 
   /// Switches day simulation back to the discrete-event engine path, replayed
   /// exactly as the fleet ran it before the fast path existed — including the
@@ -158,17 +154,9 @@ class DeviceInstance {
   std::unique_ptr<platform::DetectionPolicy> policy_;
   /// Test-set window indices of the shared app, bucketed by true label.
   std::array<std::vector<std::size_t>, 3> windows_by_level_;
-  /// Batch workspace for the day's window classifications: either the shared
-  /// per-worker one handed in at construction, or a lazily built own one.
-  nn::FixedBatch* batch_ = nullptr;
-  std::unique_ptr<nn::FixedBatch> owned_batch_;
-  bool use_batching_ = true;
   bool use_fast_day_ = true;
-  /// Per-day classification staging, reused across days (no allocation after
-  /// the first day): sampled window indices, their input rows, their labels.
+  /// The day's sampled window indices, reused across days.
   std::vector<std::size_t> picks_;
-  std::vector<const float*> rows_;
-  std::vector<std::size_t> labels_;
   double soc_ = 0.5;
   int day_ = 0;
   DeviceOutcome outcome_;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <exception>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -12,7 +11,6 @@
 #include "common/error.hpp"
 #include "fleet/cohort_runner.hpp"
 #include "fleet/device_instance.hpp"
-#include "nn/batch.hpp"
 
 namespace iw::fleet {
 
@@ -41,21 +39,12 @@ FleetResult FleetEngine::run() const {
 
   const auto worker = [&] {
     try {
-      // One batch workspace per worker thread: every device this worker
-      // simulates classifies its windows through it. Workspaces are scratch
-      // only (results depend on nothing but the inputs), so sharing one
-      // across devices cannot break the thread-count-independence invariant.
-      std::unique_ptr<nn::FixedBatch> batch;
-      if (config_.app != nullptr && config_.batched_classification) {
-        batch = std::make_unique<nn::FixedBatch>(config_.app->quantized());
-      }
       if (config_.cohort_day && config_.fast_day) {
         // Cohort mode: one chunk = one lockstep cohort. The runner's caches
         // and buffers are per-worker scratch (results depend on nothing but
         // the scenarios), so reuse across chunks keeps thread-count
         // independence intact.
-        CohortRunner runner(config_.app, batch.get(),
-                            config_.batched_classification);
+        CohortRunner runner(config_.app);
         std::vector<Scenario> scenarios;
         scenarios.reserve(chunk);
         while (true) {
@@ -85,8 +74,7 @@ FleetResult FleetEngine::run() const {
         for (std::size_t id = begin; id < end; ++id) {
           Scenario scenario = sample_scenario(config_.fleet_seed, id);
           scenario.days = config_.days;
-          DeviceInstance device(scenario, config_.app, batch.get(), &scratch);
-          if (!config_.batched_classification) device.set_batched_classification(false);
+          DeviceInstance device(scenario, config_.app, &scratch);
           if (!config_.fast_day) device.set_fast_day(false);
           device.run();
           shards[c].add(device.outcome());

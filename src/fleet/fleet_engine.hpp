@@ -39,11 +39,6 @@ struct FleetConfig {
   /// completed detections are classified through its deployed fixed-point
   /// network. Must outlive the run.
   const core::StressDetectionApp* app = nullptr;
-  /// Classify each device-day's windows through a per-worker batch workspace
-  /// (bit-exact with per-sample classification, so results do not change —
-  /// only throughput). Off = per-sample classify, kept for regression tests
-  /// and benchmarking the batching win.
-  bool batched_classification = true;
   /// Simulate each device-day with the allocation-free segment integrator
   /// (platform/fast_day.hpp) instead of the discrete-event engine. Bit-exact
   /// with the engine path, so results do not change — only throughput. Off
@@ -54,8 +49,7 @@ struct FleetConfig {
   /// Advance each chunk of devices as one lockstep cohort through the
   /// structure-of-arrays day kernel (platform/cohort_day.hpp): segment
   /// tables, the detection-gate window and policy objects are shared across
-  /// the cohort, and each cohort-day's window classifications go through one
-  /// cross-device batch. Bit-exact with the per-device loop, so results do
+  /// the cohort. Bit-exact with the per-device loop, so results do
   /// not change — only throughput. Only applies when `fast_day` is on
   /// (turning fast_day off selects the engine oracle regardless); off falls
   /// back to the per-device scalar fast path, kept for regression tests and

@@ -6,11 +6,12 @@
 #include <cmath>
 #include <cstdio>
 #include <exception>
+#include <filesystem>
+#include <limits>
 #include <mutex>
 #include <thread>
 
 #include "common/error.hpp"
-#include "nn/network.hpp"
 #include "platform/detection_cost.hpp"
 #include "platform/scheduler.hpp"
 
@@ -29,9 +30,7 @@ namespace iw::fleet {
 // any day boundary, and each advanced day can stream into LongitudinalStats.
 // ---------------------------------------------------------------------------
 
-ShardSimulator::ShardSimulator(const core::StressDetectionApp* app,
-                               nn::FixedBatch* batch, bool batched_classification)
-    : app_(app), batch_(batch), use_batching_(batched_classification) {
+ShardSimulator::ShardSimulator(const core::StressDetectionApp* app) : app_(app) {
   if (app_ != nullptr) build_windows_by_level(*app_, windows_by_level_);
 }
 
@@ -143,8 +142,6 @@ bool ShardSimulator::step_day(LongitudinalStats* sink) {
   }
   cohort_.run_day(members_);
 
-  picks_.clear();
-  pick_lane_.clear();
   for (const std::size_t i : active_) {
     const platform::DaySimulationResult& result = results_[i];
     socs_[i] = result.final_soc;
@@ -152,13 +149,9 @@ bool ShardSimulator::step_day(LongitudinalStats* sink) {
     if (app_ != nullptr) {
       draw_day_picks(rngs_[i], scenarios_[i], windows_by_level_,
                      result.detections_completed, lane_picks_);
-      for (const std::size_t pick : lane_picks_) {
-        picks_.push_back(pick);
-        pick_lane_.push_back(i);
-      }
+      tally_picks(*app_, lane_picks_, outcomes_[i]);
     }
   }
-  classify_staged();
 
   if (sink != nullptr) {
     // Stream after classification so the day's app-window counts are in.
@@ -166,35 +159,6 @@ bool ShardSimulator::step_day(LongitudinalStats* sink) {
   }
   day_ = day;
   return day_ < max_days_;
-}
-
-void ShardSimulator::classify_staged() {
-  if (picks_.empty()) return;
-  const nn::Dataset& test = app_->test_set();
-  if (use_batching_) {
-    if (batch_ == nullptr) {
-      owned_batch_ = std::make_unique<nn::FixedBatch>(app_->quantized());
-      batch_ = owned_batch_.get();
-    }
-    // One batched call covering every cohort device's windows for the day —
-    // bit-exact per row, so pooling rows across devices changes nothing.
-    rows_.clear();
-    for (const std::size_t pick : picks_) rows_.push_back(test.inputs[pick].data());
-    labels_.resize(picks_.size());
-    batch_->classify(rows_, labels_);
-    for (std::size_t j = 0; j < picks_.size(); ++j) {
-      DeviceOutcome& outcome = outcomes_[pick_lane_[j]];
-      ++outcome.class_counts[std::min<std::size_t>(labels_[j], 2)];
-      ++outcome.classified;
-    }
-  } else {
-    for (std::size_t j = 0; j < picks_.size(); ++j) {
-      const std::size_t predicted = app_->quantized().classify(test.inputs[picks_[j]]);
-      DeviceOutcome& outcome = outcomes_[pick_lane_[j]];
-      ++outcome.class_counts[std::min<std::size_t>(predicted, 2)];
-      ++outcome.classified;
-    }
-  }
 }
 
 std::span<const DeviceOutcome> ShardSimulator::outcomes() const {
@@ -219,6 +183,9 @@ void ShardSimulator::save_checkpoints(std::vector<DeviceCheckpoint>& out) const 
 // ---------------------------------------------------------------------------
 
 namespace {
+
+/// ceil(n / d) without the n + d - 1 overflow.
+std::uint64_t ceil_div(std::uint64_t n, std::uint64_t d) { return n / d + (n % d != 0); }
 
 /// RAII FILE handle (workers each own their read handle; the save handle is
 /// shared behind a mutex).
@@ -248,9 +215,34 @@ std::uint64_t stats_blob_bytes(int days, int soc_bins) {
 
 }  // namespace
 
+ShardPlan plan_shards(std::uint64_t num_devices, int threads,
+                      std::uint64_t max_shard_size) {
+  const std::uint64_t n = num_devices;
+  ensure(n > 0 && threads >= 1 && max_shard_size > 0,
+         "plan_shards: need devices, threads and a positive shard cap");
+  ShardPlan plan;
+  plan.workers =
+      static_cast<int>(std::min<std::uint64_t>(static_cast<std::uint64_t>(threads), n));
+  // Smallest multiple of four claims per worker that respects the cap; past
+  // one device per shard it is clamped to n (which is also overflow-free).
+  const std::uint64_t unit = 4 * static_cast<std::uint64_t>(plan.workers);
+  const std::uint64_t rounds = ceil_div(ceil_div(n, max_shard_size), unit);
+  const std::uint64_t target = rounds > n / unit ? n : rounds * unit;
+  plan.shard_size = ceil_div(n, target);
+  plan.shards = ceil_div(n, plan.shard_size);
+  ensure(plan.shard_size <= max_shard_size && plan.shards >= 1 &&
+             (plan.shards - 1) * plan.shard_size < n &&
+             n - (plan.shards - 1) * plan.shard_size <= plan.shard_size,
+         "plan_shards: shards do not cover the population exactly");
+  return plan;
+}
+
 LongitudinalRunner::LongitudinalRunner(LongitudinalConfig config)
     : config_(std::move(config)) {
   ensure(config_.num_devices > 0, "LongitudinalRunner: need at least one device");
+  ensure(config_.first_device <=
+             std::numeric_limits<std::uint64_t>::max() - config_.num_devices,
+         "LongitudinalRunner: device id range overflows");
   ensure(config_.days >= 1, "LongitudinalRunner: need at least one day");
   ensure(config_.shard_size > 0, "LongitudinalRunner: shard size must be positive");
   ensure(config_.threads >= 1, "LongitudinalRunner: need at least one thread");
@@ -307,6 +299,15 @@ LongitudinalResult LongitudinalRunner::run() const {
   std::uint64_t save_table_off = 0;
   std::unique_ptr<File> save_file;
   std::mutex save_mutex;
+  if (saving && resuming) {
+    // Opening the output truncates it; if it is the resume file, the banked
+    // state would be gone before any worker read it.
+    // The resume file exists (its header was just read), so a checkpoint
+    // path that does not exist yet names another file (equivalent() fails).
+    std::error_code ec;
+    ensure(!std::filesystem::equivalent(cfg.resume_path, cfg.checkpoint_path, ec),
+           "LongitudinalRunner: checkpoint path is the resume checkpoint");
+  }
   if (saving) {
     save_table_off =
         kCheckpointHeaderBytes + stats_blob_bytes(cfg.days, cfg.soc_bins);
@@ -317,10 +318,10 @@ LongitudinalResult LongitudinalRunner::run() const {
 
   // --- Sharded run ----------------------------------------------------------
   const std::uint64_t n = cfg.num_devices;
-  const std::uint64_t shard = cfg.shard_size;
-  const std::uint64_t num_shards = (n + shard - 1) / shard;
-  const int threads = static_cast<int>(std::min<std::uint64_t>(
-      static_cast<std::uint64_t>(cfg.threads), num_shards));
+  const ShardPlan plan = plan_shards(n, cfg.threads, cfg.shard_size);
+  const std::uint64_t shard = plan.shard_size;
+  const std::uint64_t num_shards = plan.shards;
+  const int threads = plan.workers;
 
   // Worker-local streamed aggregates: merged after the join. The merge is
   // exact integer addition, so the reduction is byte-identical no matter how
@@ -341,11 +342,7 @@ LongitudinalResult LongitudinalRunner::run() const {
 
   const auto worker = [&](int worker_id) {
     try {
-      std::unique_ptr<nn::FixedBatch> batch;
-      if (cfg.app != nullptr && cfg.batched_classification) {
-        batch = std::make_unique<nn::FixedBatch>(cfg.app->quantized());
-      }
-      ShardSimulator sim(cfg.app, batch.get(), cfg.batched_classification);
+      ShardSimulator sim(cfg.app);
       LongitudinalStats& local = worker_stats[static_cast<std::size_t>(worker_id)];
 
       std::unique_ptr<File> resume_file;
@@ -359,14 +356,13 @@ LongitudinalResult LongitudinalRunner::run() const {
       std::vector<DeviceCheckpoint> checkpoints;
       std::vector<std::uint8_t> record_buf;
       ByteWriter record_writer;
-      scenarios.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(shard, n)));
+      scenarios.reserve(static_cast<std::size_t>(shard));
 
       while (true) {
         const std::uint64_t s = next_shard.fetch_add(1, std::memory_order_relaxed);
         if (s >= num_shards || failed.load(std::memory_order_relaxed)) break;
         const std::uint64_t begin = cfg.first_device + s * shard;
-        const std::uint64_t end =
-            std::min(cfg.first_device + n, begin + shard);
+        const std::uint64_t end = begin + std::min(shard, n - s * shard);
         const std::size_t count = static_cast<std::size_t>(end - begin);
 
         // Shard generation: re-sampled from the substream, never stored.
@@ -476,6 +472,8 @@ LongitudinalResult LongitudinalRunner::run() const {
   result.start_day = start_day;
   result.end_day = stop_day;
   result.threads_used = threads;
+  result.shard_size = shard;
+  result.shards = num_shards;
   result.wall_s = std::chrono::duration<double>(t1 - t0).count();
   const double device_days =
       static_cast<double>(n) * static_cast<double>(stop_day - start_day);

@@ -4,7 +4,7 @@
 // of devices x months" by combining three pieces:
 //
 //   * Sharded generation — the population [first_device, first_device +
-//     num_devices) is cut into contiguous shards; each shard's scenarios are
+//     num_devices) is cut into contiguous, equal shards (plan_shards); each shard's scenarios are
 //     re-sampled on demand from Rng::substream(fleet_seed, device_id), so any
 //     shard is reproducible in isolation and no per-device state exists
 //     outside the shard currently being simulated. Peak memory is O(shard),
@@ -38,7 +38,7 @@
 #include "fleet/longitudinal/checkpoint.hpp"
 #include "fleet/longitudinal/long_stats.hpp"
 #include "fleet/scenario.hpp"
-#include "nn/batch.hpp"
+#include "nn/batch.hpp"  // part of this header's interface for shard-loop replays
 #include "platform/cohort_day.hpp"
 
 namespace iw::fleet {
@@ -53,8 +53,10 @@ struct LongitudinalConfig {
   std::uint64_t fleet_seed = 0x1f2e2020ULL;
   /// Simulated days per device.
   int days = 30;
-  /// Devices simulated together per shard — the memory knob. Also the unit
-  /// of work claimed by worker threads.
+  /// Cap on the devices simulated together per shard — the memory knob. The
+  /// runner cuts the population into equal shards of at most this size,
+  /// about four per worker (see plan_shards); LongitudinalResult reports the
+  /// partition it used.
   std::size_t shard_size = 4096;
   /// Worker threads; 1 runs inline on the calling thread.
   int threads = 1;
@@ -62,9 +64,8 @@ struct LongitudinalConfig {
   int soc_bins = LongitudinalStats::kDefaultSocBins;
   /// Optional shared stress-detection app (const access only; must outlive
   /// the run). When set, completed detections classify through its deployed
-  /// fixed-point network, batched per cohort-day.
+  /// fixed-point network's precomputed test-set labels.
   const core::StressDetectionApp* app = nullptr;
-  bool batched_classification = true;
   /// Retain one DeviceOutcome row per device in LongitudinalResult::outcomes
   /// (O(population) memory — for oracle comparisons and small runs only; the
   /// streamed LongitudinalStats is the scalable product).
@@ -74,7 +75,8 @@ struct LongitudinalConfig {
   std::string resume_path;
   /// Non-empty: write a checkpoint at the end of day `checkpoint_day` and
   /// stop there (resume later to continue). Requires 0 < checkpoint_day <=
-  /// days, and checkpoint_day greater than a resumed file's day.
+  /// days, checkpoint_day greater than a resumed file's day, and a path that
+  /// is not the resume file.
   std::string checkpoint_path;
   int checkpoint_day = 0;
 };
@@ -89,6 +91,9 @@ struct LongitudinalResult {
   int start_day = 0;
   int end_day = 0;
   int threads_used = 1;
+  /// The partition actually used (plan_shards of the config).
+  std::uint64_t shard_size = 0;
+  std::uint64_t shards = 0;
   double wall_s = 0.0;
   /// Device-days simulated by *this* run (excludes resumed days) per second.
   double device_days_per_sec = 0.0;
@@ -105,11 +110,8 @@ struct LongitudinalResult {
 class ShardSimulator {
  public:
   /// `app` may be null (energy/duty-cycle simulation only); when set it must
-  /// outlive the simulator. `batch` optionally supplies the worker's shared
-  /// batch workspace (lazily built when null and batching is on).
-  explicit ShardSimulator(const core::StressDetectionApp* app = nullptr,
-                          nn::FixedBatch* batch = nullptr,
-                          bool batched_classification = true);
+  /// outlive the simulator.
+  explicit ShardSimulator(const core::StressDetectionApp* app = nullptr);
 
   /// Binds a fresh shard at day 0.
   void begin(std::span<const Scenario> scenarios);
@@ -140,12 +142,8 @@ class ShardSimulator {
  private:
   void setup(std::span<const Scenario> scenarios);
   const platform::DetectionPolicy* policy_for(const Scenario& scenario);
-  void classify_staged();
 
   const core::StressDetectionApp* app_;
-  nn::FixedBatch* batch_ = nullptr;
-  std::unique_ptr<nn::FixedBatch> owned_batch_;
-  bool use_batching_ = true;
 
   /// Every device uses the same calibrated physics, so sharing one instance
   /// is bit-identical to each device fitting its own.
@@ -175,17 +173,29 @@ class ShardSimulator {
   std::vector<double> socs_;
   std::vector<platform::CohortMember> members_;
   std::vector<std::size_t> active_;
-
-  // Cross-device per-day classification staging.
   std::vector<std::size_t> lane_picks_;
-  std::vector<std::size_t> picks_;
-  std::vector<std::size_t> pick_lane_;
-  std::vector<const float*> rows_;
-  std::vector<std::size_t> labels_;
 
   int day_ = 0;
   int max_days_ = 0;
 };
+
+/// How LongitudinalRunner cuts a population of `num_devices` into
+/// contiguous shards: shard s covers device offsets [s * shard_size,
+/// min(num_devices, (s + 1) * shard_size)).
+struct ShardPlan {
+  std::uint64_t shard_size = 0;
+  std::uint64_t shards = 0;
+  /// Worker threads: min(threads, num_devices).
+  int workers = 0;
+};
+
+/// The whole-round partition. The shard count is the smallest multiple of
+/// 4 x workers that keeps shards within `max_shard_size`; shards are then
+/// made equal (ceil(num_devices / count)) and the count recomputed. Equal
+/// shards, about four claims per worker, so no worker runs a last shard
+/// alone. Results never depend on the partition.
+ShardPlan plan_shards(std::uint64_t num_devices, int threads,
+                      std::uint64_t max_shard_size);
 
 class LongitudinalRunner {
  public:

@@ -110,6 +110,25 @@ TEST(App, NetworkHasPaperTopology) {
   EXPECT_EQ(app.quantized().num_outputs(), 3u);
 }
 
+TEST(App, FixedTestLabelsMatchPerSampleClassify) {
+  // The fleet counts classifications by this table instead of running the
+  // network; it must equal per-sample inference on every test row. Covers
+  // the small iw_fleetd --app build and the default build.
+  AppConfig tiny;
+  tiny.dataset.subjects = 2;
+  tiny.dataset.minutes_per_level = 2.0;
+  tiny.training.max_epochs = 40;
+  for (const AppConfig& config : {tiny, AppConfig{}}) {
+    const StressDetectionApp app = StressDetectionApp::build(config);
+    const nn::Dataset& test = app.test_set();
+    ASSERT_GT(test.size(), 0u);
+    for (std::size_t row = 0; row < test.size(); ++row) {
+      ASSERT_EQ(app.fixed_test_label(row), app.quantized().classify(test.inputs[row]))
+          << "row " << row;
+    }
+  }
+}
+
 TEST(App, HostAndFixedClassificationsAgreeMostly) {
   const StressDetectionApp& app = shared_app();
   bio::RawFeatures calm{};

@@ -3,10 +3,11 @@
 // double printed exactly) has to be byte-identical between the cohort path,
 // the per-device scalar fast path, and the discrete-event engine path — at
 // any thread count, any chunk (= cohort) size, across multi-day runs with
-// battery carry-over, and with the shared classification app batched across
-// devices, per device, or absent.
+// battery carry-over, and with the shared classification app present or
+// absent.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "fleet/fleet_engine.hpp"
@@ -24,6 +25,18 @@ FleetConfig mixed_fleet(int threads, bool cohort_day, bool fast_day = true) {
   config.fast_day = fast_day;
   config.cohort_day = cohort_day;
   return config;
+}
+
+/// FNV-1a digest of ByteIdenticalWithSharedApp's FleetStats serialization.
+constexpr std::uint64_t kSharedAppDigest = 0xd6a09a7445cfbfbdULL;
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
 }
 
 core::StressDetectionApp tiny_app() {
@@ -76,10 +89,11 @@ TEST(FleetCohort, MultiDayBatteryCarryOver) {
             FleetEngine(cohort).run().stats.serialize());
 }
 
-TEST(FleetCohort, ByteIdenticalWithSharedAppBatchedAndPerSample) {
-  // Cross-device batched inference, per-sample inference, and the per-device
-  // loop must all agree — the cohort stages every device's windows for a day
-  // into one batch, which must not change any label or any later RNG draw.
+TEST(FleetCohort, ByteIdenticalWithSharedApp) {
+  // The cohort draws every device's windows for a day before moving on;
+  // that must not change any label or any later RNG draw, so it agrees with
+  // the per-device loop. The digest was recorded from the earlier build that
+  // ran each pick through the batch inference engine.
   const core::StressDetectionApp app = tiny_app();
   FleetConfig base = mixed_fleet(2, true);
   base.num_devices = 16;
@@ -90,13 +104,10 @@ TEST(FleetCohort, ByteIdenticalWithSharedAppBatchedAndPerSample) {
   scalar.cohort_day = false;
   const std::string reference = FleetEngine(scalar).run().stats.serialize();
 
-  const FleetResult batched = FleetEngine(base).run();
-  EXPECT_EQ(reference, batched.stats.serialize());
-  EXPECT_GT(batched.stats.summarize().classified, 0u);
-
-  FleetConfig per_sample = base;
-  per_sample.batched_classification = false;
-  EXPECT_EQ(reference, FleetEngine(per_sample).run().stats.serialize());
+  const FleetResult cohort = FleetEngine(base).run();
+  EXPECT_EQ(reference, cohort.stats.serialize());
+  EXPECT_GT(cohort.stats.summarize().classified, 0u);
+  EXPECT_EQ(fnv1a(reference), kSharedAppDigest);
 }
 
 TEST(FleetCohort, FastDayOffStillSelectsEngineOracle) {

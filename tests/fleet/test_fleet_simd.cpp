@@ -1,7 +1,7 @@
 // Fleet-level SIMD tier parity (DESIGN.md §15): a FleetEngine run must
 // serialize to the same bytes at every dispatch tier and every thread count —
-// the SIMD kernels sit inside the cohort day kernel and the batched
-// classifier, both of which carry a bit-exactness contract, so the full
+// the SIMD kernels sit inside the cohort day kernel, which carries a
+// bit-exactness contract, so the full
 // FleetStats (per-device outcome rows included) is the sharpest observable.
 #include <gtest/gtest.h>
 
@@ -53,8 +53,9 @@ TEST(FleetSimd, StatsByteIdenticalAcrossTiersAndThreads) {
 }
 
 TEST(FleetSimd, TiersAgreeWithSharedAppClassification) {
-  // With a shared app the cohort day kernel feeds the batched Fixed16
-  // classifier, so this run crosses both SIMD dispatch points.
+  // With a shared app each simulated day also draws classification picks
+  // from the device RNG streams, so a tier that perturbed a day result
+  // would show in the class counts too.
   core::AppConfig app_config;
   app_config.dataset.subjects = 2;
   app_config.dataset.minutes_per_level = 2.0;

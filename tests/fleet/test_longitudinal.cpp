@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -56,6 +57,11 @@ std::vector<Scenario> matrix_scenarios(int days) {
     }
   }
   return scenarios;
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
 }
 
 std::string rows_of(const ShardSimulator& sim) {
@@ -384,6 +390,34 @@ TEST(LongitudinalRunner, ResumeRejectsMismatchedPopulation) {
   no_progress.checkpoint_path = ckpt + ".next";
   no_progress.checkpoint_day = 2;  // == resumed day: nothing to simulate
   EXPECT_THROW(LongitudinalRunner(no_progress).run(), Error);
+  std::remove(ckpt.c_str());
+}
+
+TEST(LongitudinalRunner, RefusesToCheckpointOverItsResumeFile) {
+  // Opening the checkpoint output truncates it, so writing it over the resume
+  // file would destroy the banked state before any worker read it. The same
+  // spelling and another path to the same file are both refused, and the
+  // file is left byte-identical.
+  LongitudinalConfig base;
+  base.num_devices = 40;
+  base.fleet_seed = 5;
+  base.days = 4;
+  const std::string ckpt = testing::TempDir() + "iw_long_same_path.ckpt";
+  LongitudinalConfig leg1 = base;
+  leg1.checkpoint_path = ckpt;
+  leg1.checkpoint_day = 2;
+  LongitudinalRunner(leg1).run();
+  const std::string banked = file_bytes(ckpt);
+  ASSERT_FALSE(banked.empty());
+
+  for (const std::string& out : {ckpt, testing::TempDir() + "./iw_long_same_path.ckpt"}) {
+    LongitudinalConfig leg2 = base;
+    leg2.resume_path = ckpt;
+    leg2.checkpoint_path = out;
+    leg2.checkpoint_day = 3;
+    EXPECT_THROW(LongitudinalRunner(leg2).run(), Error) << out;
+    EXPECT_EQ(banked, file_bytes(ckpt)) << out;
+  }
   std::remove(ckpt.c_str());
 }
 

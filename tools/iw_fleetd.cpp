@@ -28,15 +28,22 @@
 // training run (the defaults build in a few seconds; accuracy is secondary
 // to duty-cycle realism here).
 //
+// Numeric flags must be whole numbers in range (tools/cli_flags.hpp), so
+// "--shard -1" or "--devices 10x" exits with status 2 and a message.
+// --shard caps the devices per shard; the runner chooses the partition
+// (plan_shards) and the `fleet:` line reports the one it used.
+//
 // JSON goes through the shared bench report layer (flat key -> number), so
 // downstream tooling reads fleet trajectories and bench trajectories the
 // same way.
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "common/hostinfo.hpp"
 #include "core/app.hpp"
 #include "fleet/longitudinal/runner.hpp"
@@ -108,6 +115,9 @@ int run_smoke() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  using iw::cli::flag_value;
   iw::fleet::LongitudinalConfig config;
   config.num_devices = 10000;
   int query_day = 0;
@@ -125,43 +135,42 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const bool more = i + 1 < argc;
     if (std::strcmp(argv[i], "--devices") == 0 && more) {
-      config.num_devices = std::strtoull(argv[++i], nullptr, 10);
+      if (!flag_value(argv, i, 1, kU64Max, config.num_devices)) return 2;
     } else if (std::strcmp(argv[i], "--first") == 0 && more) {
-      config.first_device = std::strtoull(argv[++i], nullptr, 10);
+      if (!flag_value(argv, i, 0, kU64Max, config.first_device)) return 2;
     } else if (std::strcmp(argv[i], "--seed") == 0 && more) {
-      config.fleet_seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!flag_value(argv, i, 0, kU64Max, config.fleet_seed)) return 2;
     } else if (std::strcmp(argv[i], "--days") == 0 && more) {
-      config.days = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 1, kIntMax, config.days)) return 2;
     } else if (std::strcmp(argv[i], "--shard") == 0 && more) {
-      config.shard_size =
-          static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 1, kU64Max, config.shard_size)) return 2;
     } else if (std::strcmp(argv[i], "--threads") == 0 && more) {
-      config.threads = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 1, 4096, config.threads)) return 2;
     } else if (std::strcmp(argv[i], "--bins") == 0 && more) {
-      config.soc_bins = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 2, 4096, config.soc_bins)) return 2;
     } else if (std::strcmp(argv[i], "--query-day") == 0 && more) {
-      query_day = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 0, kIntMax, query_day)) return 2;
     } else if (std::strcmp(argv[i], "--every") == 0 && more) {
-      every = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 0, kIntMax, every)) return 2;
     } else if (std::strcmp(argv[i], "--json") == 0 && more) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--app") == 0) {
       with_app = true;
     } else if (std::strcmp(argv[i], "--app-subjects") == 0 && more) {
       with_app = true;
-      app_config.dataset.subjects =
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 1, 1000, app_config.dataset.subjects)) return 2;
     } else if (std::strcmp(argv[i], "--app-minutes") == 0 && more) {
       with_app = true;
-      app_config.dataset.minutes_per_level = std::strtod(argv[++i], nullptr);
+      if (!flag_value(argv, i, 0.1, 1440.0, app_config.dataset.minutes_per_level)) {
+        return 2;
+      }
     } else if (std::strcmp(argv[i], "--app-epochs") == 0 && more) {
       with_app = true;
-      app_config.training.max_epochs =
-          static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 1, 1000000, app_config.training.max_epochs)) return 2;
     } else if (std::strcmp(argv[i], "--checkpoint") == 0 && more) {
       config.checkpoint_path = argv[++i];
     } else if (std::strcmp(argv[i], "--checkpoint-day") == 0 && more) {
-      config.checkpoint_day = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 1, kIntMax, config.checkpoint_day)) return 2;
     } else if (std::strcmp(argv[i], "--resume") == 0 && more) {
       config.resume_path = argv[++i];
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
@@ -171,10 +180,6 @@ int main(int argc, char** argv) {
     }
   }
   if (smoke) return run_smoke();
-  if (config.num_devices == 0 || config.days <= 0 || config.threads <= 0 ||
-      config.shard_size == 0 || config.soc_bins < 2) {
-    return usage(argv[0]);
-  }
   if (query_day <= 0 || query_day > config.days) query_day = config.days;
   // Day-table stride: by default print ~12 rows regardless of horizon.
   if (every <= 0) every = config.days <= 12 ? 1 : (config.days + 11) / 12;
@@ -197,12 +202,14 @@ int main(int argc, char** argv) {
     const int last_day = result.end_day;
 
     std::printf("fleet: %llu devices (ids %llu..%llu), days %d..%d, "
-                "shard %zu, %d thread%s\n",
+                "shard %llu x %llu, %d thread%s\n",
                 static_cast<unsigned long long>(config.num_devices),
                 static_cast<unsigned long long>(config.first_device),
                 static_cast<unsigned long long>(config.first_device +
                                                 config.num_devices - 1),
-                result.start_day, last_day, config.shard_size,
+                result.start_day, last_day,
+                static_cast<unsigned long long>(result.shard_size),
+                static_cast<unsigned long long>(result.shards),
                 result.threads_used, result.threads_used == 1 ? "" : "s");
     std::printf("wall: %.2f s  (%.0f device-days/sec, peak rss %.1f MiB)\n\n",
                 result.wall_s, result.device_days_per_sec,
@@ -247,7 +254,8 @@ int main(int argc, char** argv) {
       json.add("start_day", result.start_day);
       json.add("end_day", last_day);
       json.add("threads", result.threads_used);
-      json.add("shard_size", static_cast<double>(config.shard_size));
+      json.add("shard_size", static_cast<double>(result.shard_size));
+      json.add("shards", static_cast<double>(result.shards));
       json.add("soc_bins", config.soc_bins);
       json.add("wall_s", result.wall_s);
       json.add("device_days_per_sec", result.device_days_per_sec);
