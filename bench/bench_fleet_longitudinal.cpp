@@ -9,35 +9,34 @@
 // counts, shard sizes, and a checkpoint/resume split through a real
 // checkpoint file. Results land in BENCH_fleet_longitudinal.json.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
+#include "cli_flags.hpp"
 #include "fleet/longitudinal/runner.hpp"
 #include "report.hpp"
 
 int main(int argc, char** argv) {
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  using iw::cli::flag_value;
   std::uint64_t devices = 10000;
   int days = 30;
   std::size_t shard = 4096;
   for (int i = 1; i < argc; ++i) {
     const bool more = i + 1 < argc;
     if (std::strcmp(argv[i], "--devices") == 0 && more) {
-      devices = std::strtoull(argv[++i], nullptr, 10);
+      if (!flag_value(argv, i, 1, kU64Max, devices)) return 2;
     } else if (std::strcmp(argv[i], "--days") == 0 && more) {
-      days = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 1, std::numeric_limits<int>::max(), days)) return 2;
     } else if (std::strcmp(argv[i], "--shard") == 0 && more) {
-      shard = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 1, kU64Max, shard)) return 2;
     } else {
       std::fprintf(stderr, "usage: %s [--devices N] [--days N] [--shard N]\n",
                    argv[0]);
       return 2;
     }
-  }
-  if (devices == 0 || days <= 0 || shard == 0) {
-    std::fprintf(stderr, "need --devices >= 1, --days >= 1, --shard >= 1\n");
-    return 2;
   }
 
   iw::bench::print_header(

@@ -1,41 +1,47 @@
-// Fleet engine throughput: device-days/sec across the three day simulators,
-// the SIMD dispatch tiers of the cohort kernel, and thread-scaling
-// efficiency.
+// Fleet throughput: device-days/sec of the fleet runner against the
+// per-device reference loop, across worker threads and the SIMD dispatch
+// tiers of the cohort kernel.
 //
 // Simulates a 1000-device fleet for one day (override with `--devices N
-// --days N --chunk N`), once per mode at 1/2/4/8 worker threads each:
-//   engine  discrete-event engine per device-day (the oracle, replaying the
-//           pre-fast-path fleet loop including its always-on trace recording)
-//   fast    allocation-free fast-path segment integrator, one device at a time
-//   cohort  structure-of-arrays cohort kernel (the default): each chunk of
-//           devices advances in lockstep, sharing segment tables, the
-//           detection-gate window and policy objects across the cohort
-// then sweeps the cohort kernel across every SIMD tier this build + host can
-// run (off / array / sse2 / avx2) at one thread. Reports device-days/sec, the
-// fast-vs-engine / cohort-vs-fast / simd-vs-scalar speedups, and per-mode
-// thread scaling; cross-checks the determinism invariants in-run (aggregate
-// FleetStats byte-identical at every thread count, across all three day
-// simulators, and across every SIMD tier — each compared against the engine
-// oracle's serialization). Results land in BENCH_fleet_throughput.json along
-// with the host CPU model and ISA features that produced them.
+// --days N --shard N`; the last caps the devices per shard) on three paths:
+//   engine  run_per_device_oracle on the discrete-event engine (the oracle,
+//           including the engine's always-on trace recording), 1 thread
+//   fast    run_per_device_oracle on the allocation-free fast-path segment
+//           integrator, 1 thread
+//   cohort  LongitudinalRunner (the product path) at 1/2/4/8 worker threads:
+//           each shard advances in lockstep through the structure-of-arrays
+//           cohort kernel, sharing segment tables, the detection-gate window
+//           and policy objects across the shard
+// then sweeps the runner across every SIMD tier this build + host can run
+// (off / array / sse2 / avx2) at one thread. Reports device-days/sec, the
+// fast-vs-engine / cohort-vs-fast / simd-vs-scalar speedups, and the
+// runner's thread scaling; cross-checks the determinism invariants in-run
+// (per-device FleetStats byte-identical on every path, thread count and SIMD
+// tier, each compared against the engine oracle's serialization). Results
+// land in BENCH_fleet_throughput.json along with the host CPU model and ISA
+// features that produced them.
 //
 // `--smoke` replaces the sweep with a seconds-scale cross-check (64 devices x
-// 1 day through every path, tier and 2 threads), prints a digest of the
-// canonical serialization for cross-build comparison (the digest depends only
-// on the simulated results, never on chunking, threads or tier), and exits
-// nonzero on any mismatch. scripts/check.sh runs it on every build, and
-// compares digests between the SIMD and the -DIW_SIMD=OFF portable build.
+// 1 day through both oracle drivers, the runner at every tier and at 2
+// threads), prints a digest of the canonical serialization for cross-build
+// comparison (the digest depends only on the simulated results, never on
+// shards, threads or tier), and exits nonzero on any mismatch.
+// scripts/check.sh runs it on every build and pins the digest, in the SIMD
+// and the -DIW_SIMD=OFF portable build.
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli_flags.hpp"
 #include "common/hostinfo.hpp"
 #include "common/simd.hpp"
-#include "fleet/fleet_engine.hpp"
+#include "fleet/fleet_stats.hpp"
+#include "fleet/longitudinal/runner.hpp"
 #include "report.hpp"
 
 namespace {
@@ -62,50 +68,83 @@ std::vector<iw::simd::Tier> runnable_tiers() {
   return tiers;
 }
 
+/// One timed run of a path: its per-device serialization and throughput.
+struct Run {
+  std::string serialized;
+  iw::fleet::FleetStats::Summary summary;
+  double wall_s = 0.0;
+  double device_days_per_sec = 0.0;
+};
+
+Run run_oracle(const iw::fleet::LongitudinalConfig& config,
+               iw::fleet::DayDriver driver) {
+  const auto t0 = std::chrono::steady_clock::now();
+  const iw::fleet::FleetStats stats = iw::fleet::run_per_device_oracle(
+      config.fleet_seed, config.num_devices, config.days, nullptr, driver);
+  const auto t1 = std::chrono::steady_clock::now();
+  Run run;
+  run.serialized = stats.serialize();
+  run.summary = stats.summarize();
+  run.wall_s = std::chrono::duration<double>(t1 - t0).count();
+  run.device_days_per_sec =
+      run.wall_s > 0.0 ? static_cast<double>(config.num_devices) * config.days /
+                             run.wall_s
+                       : 0.0;
+  return run;
+}
+
+Run run_cohort(iw::fleet::LongitudinalConfig config, int threads) {
+  config.threads = threads;
+  const iw::fleet::LongitudinalResult result =
+      iw::fleet::LongitudinalRunner(config).run();
+  Run run;
+  run.serialized = result.outcomes.serialize();
+  run.wall_s = result.wall_s;
+  run.device_days_per_sec = result.device_days_per_sec;
+  return run;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::size_t devices = 1000;
-  int days = 1;
-  std::size_t chunk = iw::fleet::FleetConfig{}.chunk_size;
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  using iw::cli::flag_value;
+  iw::fleet::LongitudinalConfig config;
+  config.num_devices = 1000;
+  config.days = 1;
+  config.shard_size = 256;
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     const bool more = i + 1 < argc;
     if (std::strcmp(argv[i], "--devices") == 0 && more) {
-      devices = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 1, kU64Max, config.num_devices)) return 2;
     } else if (std::strcmp(argv[i], "--days") == 0 && more) {
-      days = static_cast<int>(std::strtol(argv[++i], nullptr, 10));
-    } else if (std::strcmp(argv[i], "--chunk") == 0 && more) {
-      chunk = static_cast<std::size_t>(std::strtoull(argv[++i], nullptr, 10));
+      if (!flag_value(argv, i, 1, std::numeric_limits<int>::max(), config.days)) {
+        return 2;
+      }
+    } else if (std::strcmp(argv[i], "--shard") == 0 && more) {
+      if (!flag_value(argv, i, 1, kU64Max, config.shard_size)) return 2;
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
-      std::fprintf(stderr, "usage: %s [--devices N] [--days N] [--chunk N] [--smoke]\n",
+      std::fprintf(stderr, "usage: %s [--devices N] [--days N] [--shard N] [--smoke]\n",
                    argv[0]);
       return 2;
     }
   }
-  if (devices == 0 || days <= 0 || chunk == 0) {
-    std::fprintf(stderr, "need --devices >= 1, --days >= 1 and --chunk >= 1\n");
-    return 2;
-  }
 
-  iw::fleet::FleetConfig config;
   config.fleet_seed = 2020;
-  config.chunk_size = chunk;
+  config.record_outcomes = true;  // the per-device rows are what gets compared
   const std::vector<iw::simd::Tier> tiers = runnable_tiers();
 
   if (smoke) {
-    // Seconds-scale cross-build check: every day simulator, every SIMD tier
+    // Seconds-scale cross-build check: both oracle drivers, every SIMD tier
     // and a threaded run must serialize to the same bytes.
     config.num_devices = 64;
     config.days = 1;
     iw::bench::print_header("Fleet throughput smoke (64 devices x 1 day)");
-    config.fast_day = false;
-    config.cohort_day = false;
-    config.threads = 1;
     const std::string reference =
-        iw::fleet::FleetEngine(config).run().stats.serialize();
+        run_oracle(config, iw::fleet::DayDriver::kEngine).serialized;
     bool ok = true;
     const auto check = [&](const std::string& label, const std::string& got) {
       const bool same = got == reference;
@@ -113,17 +152,14 @@ int main(int argc, char** argv) {
                   same ? "matches engine oracle" : "MISMATCH");
       ok = ok && same;
     };
-    config.fast_day = true;
-    check("fast t1", iw::fleet::FleetEngine(config).run().stats.serialize());
-    config.cohort_day = true;
+    check("fast t1", run_oracle(config, iw::fleet::DayDriver::kFast).serialized);
     for (iw::simd::Tier tier : tiers) {
       iw::simd::override_tier(tier);
       check(std::string("cohort t1 tier=") + iw::simd::tier_name(tier),
-            iw::fleet::FleetEngine(config).run().stats.serialize());
+            run_cohort(config, 1).serialized);
     }
     iw::simd::clear_override();
-    config.threads = 2;
-    check("cohort t2", iw::fleet::FleetEngine(config).run().stats.serialize());
+    check("cohort t2", run_cohort(config, 2).serialized);
     std::printf("  smoke digest: %016llx\n",
                 static_cast<unsigned long long>(fnv1a(reference)));
     iw::bench::print_note(ok ? "smoke cross-check passed"
@@ -131,17 +167,14 @@ int main(int argc, char** argv) {
     return ok ? 0 : 1;
   }
 
-  iw::bench::print_header("Fleet throughput (" + std::to_string(devices) +
-                          " devices x " + std::to_string(days) + " day" +
-                          (days == 1 ? "" : "s") + ")");
-
-  config.num_devices = devices;
-  config.days = days;
+  iw::bench::print_header("Fleet throughput (" + std::to_string(config.num_devices) +
+                          " devices x " + std::to_string(config.days) + " day" +
+                          (config.days == 1 ? "" : "s") + ")");
 
   iw::bench::JsonReport json("BENCH_fleet_throughput.json");
   json.add("devices", static_cast<double>(config.num_devices));
   json.add("days", config.days);
-  json.add("chunk_size", static_cast<double>(config.chunk_size));
+  json.add("shard_cap", static_cast<double>(config.shard_size));
   json.add("hardware_concurrency",
            static_cast<double>(std::thread::hardware_concurrency()));
   json.add("cpu_model", iw::hostinfo::cpu_model());
@@ -150,96 +183,65 @@ int main(int argc, char** argv) {
 
   std::printf("%16s %8s %16s %10s %12s\n", "path", "threads", "dev-days/sec",
               "speedup", "efficiency");
-
-  struct Mode {
-    const char* name;
-    bool fast_day;
-    bool cohort_day;
+  const auto report = [&](const char* name, int threads, const Run& run,
+                          double base_ddps) {
+    const double speedup = base_ddps > 0.0 ? run.device_days_per_sec / base_ddps : 0.0;
+    const double efficiency = speedup / threads;
+    std::printf("%16s %8d %16.1f %9.2fx %11.1f%%\n", name, threads,
+                run.device_days_per_sec, speedup, 100.0 * efficiency);
+    const std::string prefix = std::string(name) + "_t" + std::to_string(threads);
+    json.add(prefix + "_device_days_per_sec", run.device_days_per_sec);
+    json.add(prefix + "_wall_s", run.wall_s);
+    json.add(prefix + "_speedup", speedup);
+    json.add(prefix + "_efficiency", efficiency);
   };
-  // `fast` pins cohort_day off to isolate the per-device scalar baseline;
-  // `cohort` is the shipping default (both flags on) at the default
-  // (widest usable) SIMD tier.
-  constexpr Mode kModes[] = {{"engine", false, false},
-                             {"fast", true, false},
-                             {"cohort", true, true}};
 
-  bool deterministic = true;
-  std::string reference;  // t1 engine-path serialization: the oracle
-  double engine_t1_ddps = 0.0;
-  double fast_t1_ddps = 0.0;
+  // The per-device loop is serial by design: it is the oracle, not a
+  // product path, so it runs at one thread only.
+  const Run engine = run_oracle(config, iw::fleet::DayDriver::kEngine);
+  const std::string& reference = engine.serialized;
+  report("engine", 1, engine, engine.device_days_per_sec);
+  const Run fast = run_oracle(config, iw::fleet::DayDriver::kFast);
+  report("fast", 1, fast, fast.device_days_per_sec);
+  bool deterministic = fast.serialized == reference;
+
   double cohort_t1_ddps = 0.0;
-  iw::fleet::FleetStats::Summary summary;
-  for (const Mode& mode : kModes) {
-    config.fast_day = mode.fast_day;
-    config.cohort_day = mode.cohort_day;
-    double base_ddps = 0.0;
-    for (int threads : {1, 2, 4, 8}) {
-      config.threads = threads;
-      const iw::fleet::FleetResult result = iw::fleet::FleetEngine(config).run();
-      const std::string serialized = result.stats.serialize();
-      if (reference.empty()) {
-        reference = serialized;
-        summary = result.stats.summarize();
-      } else if (serialized != reference) {
-        deterministic = false;
-      }
-      if (threads == 1) {
-        base_ddps = result.device_days_per_sec;
-        if (mode.cohort_day) {
-          cohort_t1_ddps = result.device_days_per_sec;
-        } else if (mode.fast_day) {
-          fast_t1_ddps = result.device_days_per_sec;
-        } else {
-          engine_t1_ddps = result.device_days_per_sec;
-        }
-      }
-      const double speedup =
-          base_ddps > 0.0 ? result.device_days_per_sec / base_ddps : 0.0;
-      const double efficiency = speedup / threads;
-      std::printf("%16s %8d %16.1f %9.2fx %11.1f%%\n", mode.name, threads,
-                  result.device_days_per_sec, speedup, 100.0 * efficiency);
-
-      const std::string prefix =
-          std::string(mode.name) + "_t" + std::to_string(threads);
-      json.add(prefix + "_device_days_per_sec", result.device_days_per_sec);
-      json.add(prefix + "_wall_s", result.wall_s);
-      json.add(prefix + "_speedup", speedup);
-      json.add(prefix + "_efficiency", efficiency);
-    }
+  for (int threads : {1, 2, 4, 8}) {
+    const Run cohort = run_cohort(config, threads);
+    if (threads == 1) cohort_t1_ddps = cohort.device_days_per_sec;
+    if (cohort.serialized != reference) deterministic = false;
+    report("cohort", threads, cohort, cohort_t1_ddps);
   }
 
-  // SIMD tier axis: the cohort kernel at one thread, once per tier this
-  // build + host can run, each run's aggregate compared byte-for-byte
-  // against the engine oracle captured above.
-  config.fast_day = true;
-  config.cohort_day = true;
-  config.threads = 1;
+  // SIMD tier axis: the runner at one thread, once per tier this build +
+  // host can run, each run's rows compared byte-for-byte against the engine
+  // oracle.
   bool tiers_identical = true;
   double tier_off_ddps = 0.0;
   double tier_best_ddps = 0.0;
   for (iw::simd::Tier tier : tiers) {
     iw::simd::override_tier(tier);
-    const iw::fleet::FleetResult result = iw::fleet::FleetEngine(config).run();
-    if (result.stats.serialize() != reference) tiers_identical = false;
-    if (tier == iw::simd::Tier::kOff) tier_off_ddps = result.device_days_per_sec;
-    tier_best_ddps = result.device_days_per_sec;  // tiers iterate narrow->wide
+    const Run cohort = run_cohort(config, 1);
+    if (cohort.serialized != reference) tiers_identical = false;
+    if (tier == iw::simd::Tier::kOff) tier_off_ddps = cohort.device_days_per_sec;
+    tier_best_ddps = cohort.device_days_per_sec;  // tiers iterate narrow->wide
     const std::string label =
         std::string("cohort tier=") + iw::simd::tier_name(tier);
-    const double speedup = tier_off_ddps > 0.0
-                               ? result.device_days_per_sec / tier_off_ddps
-                               : 0.0;
+    const double speedup =
+        tier_off_ddps > 0.0 ? cohort.device_days_per_sec / tier_off_ddps : 0.0;
     std::printf("%16s %8d %16.1f %9.2fx %12s\n", label.c_str(), 1,
-                result.device_days_per_sec, speedup, "");
+                cohort.device_days_per_sec, speedup, "");
     json.add("cohort_tier_" + std::string(iw::simd::tier_name(tier)) +
                  "_t1_device_days_per_sec",
-             result.device_days_per_sec);
+             cohort.device_days_per_sec);
   }
   iw::simd::clear_override();
 
-  const double fast_speedup =
-      engine_t1_ddps > 0.0 ? fast_t1_ddps / engine_t1_ddps : 0.0;
+  const double fast_speedup = engine.device_days_per_sec > 0.0
+                                  ? fast.device_days_per_sec / engine.device_days_per_sec
+                                  : 0.0;
   const double cohort_speedup =
-      fast_t1_ddps > 0.0 ? cohort_t1_ddps / fast_t1_ddps : 0.0;
+      fast.device_days_per_sec > 0.0 ? cohort_t1_ddps / fast.device_days_per_sec : 0.0;
   const double simd_speedup =
       tier_off_ddps > 0.0 ? tier_best_ddps / tier_off_ddps : 0.0;
   std::printf("\n  fast path vs engine path (1 thread): %.2fx\n", fast_speedup);
@@ -253,20 +255,20 @@ int main(int argc, char** argv) {
   json.add("deterministic_across_threads_and_paths", deterministic ? 1.0 : 0.0);
   json.add("identical_across_simd_tiers", tiers_identical ? 1.0 : 0.0);
   json.add("fleet_completed_detections",
-           static_cast<double>(summary.detections_completed));
-  json.add("fleet_fraction_self_sustaining", summary.fraction_self_sustaining);
-  json.add("fleet_final_soc_p50", summary.final_soc.p50);
+           static_cast<double>(engine.summary.detections_completed));
+  json.add("fleet_fraction_self_sustaining", engine.summary.fraction_self_sustaining);
+  json.add("fleet_final_soc_p50", engine.summary.final_soc.p50);
   json.add("peak_rss_bytes",
            static_cast<double>(iw::hostinfo::peak_rss_bytes()));
 
   iw::bench::print_note(
       deterministic
-          ? "aggregate FleetStats byte-identical across thread counts and all "
-            "three day simulators"
+          ? "per-device FleetStats byte-identical across the oracle drivers and "
+            "the runner at every thread count"
           : "DETERMINISM VIOLATION: stats differ across thread counts or paths");
   iw::bench::print_note(
       tiers_identical
-          ? "cohort FleetStats byte-identical across SIMD tiers vs engine oracle"
+          ? "runner FleetStats byte-identical across SIMD tiers vs engine oracle"
           : "SIMD TIER VIOLATION: a tier's stats differ from the engine oracle");
   iw::bench::print_note("speedup is bounded by the host's available cores (" +
                         std::to_string(std::thread::hardware_concurrency()) +

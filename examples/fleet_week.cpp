@@ -8,8 +8,7 @@
 #include <cstdlib>
 #include <thread>
 
-#include "fleet/device_instance.hpp"
-#include "fleet/fleet_engine.hpp"
+#include "fleet/longitudinal/runner.hpp"
 
 namespace {
 
@@ -23,16 +22,20 @@ void print_percentiles(const char* label, const iw::fleet::FleetStats::Percentil
 }  // namespace
 
 int main(int argc, char** argv) {
-  iw::fleet::FleetConfig config;
-  config.num_devices = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 128;
+  iw::fleet::LongitudinalConfig config;
+  config.num_devices = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 128;
   config.days = argc > 2 ? std::atoi(argv[2]) : 7;
   config.threads = argc > 3 ? std::atoi(argv[3])
                             : static_cast<int>(std::thread::hardware_concurrency());
   if (config.threads < 1) config.threads = 1;
   config.fleet_seed = 2020;
+  // The percentile rows below need every device's outcome, not just the
+  // streamed histograms.
+  config.record_outcomes = true;
 
-  std::printf("InfiniWolf fleet - %zu devices x %d days (%d threads)\n",
-              config.num_devices, config.days, config.threads);
+  std::printf("InfiniWolf fleet - %llu devices x %d days (%d threads)\n",
+              static_cast<unsigned long long>(config.num_devices), config.days,
+              config.threads);
   std::printf("==================================================\n\n");
 
   std::printf("training shared stress-detection app...\n");
@@ -46,12 +49,16 @@ int main(int argc, char** argv) {
               100.0 * app.float_test_accuracy(), 100.0 * app.fixed_test_accuracy());
   config.app = &app;
 
-  const iw::fleet::FleetResult result = iw::fleet::FleetEngine(config).run();
-  const iw::fleet::FleetStats::Summary s = result.stats.summarize();
+  const iw::fleet::LongitudinalResult result =
+      iw::fleet::LongitudinalRunner(config).run();
+  const iw::fleet::FleetStats::Summary s = result.outcomes.summarize();
+  const double devices_per_sec =
+      result.wall_s > 0.0 ? static_cast<double>(result.devices) / result.wall_s : 0.0;
 
-  std::printf("simulated %zu device-days in %.2f s (%.0f devices/sec)\n\n",
-              config.num_devices * static_cast<std::size_t>(config.days),
-              result.wall_s, result.devices_per_sec);
+  std::printf("simulated %llu device-days in %.2f s (%.0f devices/sec)\n\n",
+              static_cast<unsigned long long>(config.num_devices) *
+                  static_cast<unsigned long long>(config.days),
+              result.wall_s, devices_per_sec);
 
   std::printf("fleet energy & workload\n");
   std::printf("  harvested %.1f J, consumed %.1f J across the fleet\n", s.harvested_j,

@@ -3,11 +3,11 @@
 # over every assembled reference kernel, the iw_lint --wcet certification
 # gate (floor <= dynamic <= ceiling for every kernel), a determinism grep
 # over shipped sources, the iw_fleetd smoke and input checks (bad numeric
-# flags, a checkpoint over its own resume file), the trace/interpreter
-# bit-identity
-# smoke, the fleet SIMD-tier bit-identity smoke (plus a portable
-# -DIW_SIMD=OFF build whose smoke digest must match the SIMD build's — the
-# cross-build half of the bit-exactness contract), an
+# flags of iw_fleetd, iw_lint and the fleet bench, a checkpoint over its own
+# resume file), the trace/interpreter bit-identity smoke, the fleet
+# SIMD-tier bit-identity smoke (its digest pinned, in the SIMD build and in a
+# portable -DIW_SIMD=OFF build — the cross-build half of the bit-exactness
+# contract), an
 # UndefinedBehaviorSanitizer pass over the platform/fleet suites, the
 # SIMD parity suites and the superblock-trace suite (the fast-path day
 # kernel, per-worker scratch reuse, the intrinsic packs and the
@@ -67,7 +67,7 @@ echo "== iw_fleetd smoke (longitudinal determinism self-check) =="
 ./build/tools/iw_fleetd --smoke
 
 echo
-echo "== iw_fleetd input checks (bad numeric flags, checkpoint over the resume file) =="
+echo "== input checks (bad numeric flags, checkpoint over the resume file) =="
 for args in "--shard -1" "--devices 10x" "--threads 0"; do
   # shellcheck disable=SC2086  # split into flag and value on purpose
   if ./build/tools/iw_fleetd $args >/dev/null 2>&1; then
@@ -89,6 +89,26 @@ if ! cmp -s "$ckpt_dir/f.ckpt" "$ckpt_dir/banked.ckpt"; then
   exit 1
 fi
 rm -rf "$ckpt_dir"
+lint_dir=$(mktemp -d)
+printf 'main:\n  addi a0, zero, 1\n  ecall\n' > "$lint_dir/t.s"
+for args in "--mem -1" "--mem zz" "--mem 4096x" "--entry 4x" "--entry -5"; do
+  # Exit 2 is a refused flag; an abort (134) or 0 is a bug.
+  status=0
+  # shellcheck disable=SC2086  # split into flag and value on purpose
+  ./build/tools/iw_lint $args "$lint_dir/t.s" >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: iw_lint $args exited $status, not 2"
+    exit 1
+  fi
+done
+./build/tools/iw_lint --mem 0x10000 --entry 0x0 "$lint_dir/t.s" >/dev/null
+rm -rf "$lint_dir"
+status=0
+./build/bench/bench_fleet_throughput --devices 10x >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "FAIL: bench_fleet_throughput --devices 10x exited $status, not 2"
+  exit 1
+fi
 echo "bad flags rejected; resume checkpoint left byte-identical"
 
 echo
@@ -98,19 +118,24 @@ echo "== trace engine smoke (interpreter bit-identity on all targets) =="
 echo
 echo "== fleet SIMD smoke (every day path and dispatch tier, one build) =="
 ./build/bench/bench_fleet_throughput --smoke | tee /tmp/iw_smoke_simd.txt
+# The digest of the 64-device x 1-day per-device rows is pinned: a change
+# that moves any simulated bit must re-pin it on purpose.
+smoke_digest=a412842da30e4534
+if ! grep -q "smoke digest: $smoke_digest" /tmp/iw_smoke_simd.txt; then
+  echo "FAIL: fleet smoke digest is not the pinned $smoke_digest"
+  exit 1
+fi
 
 echo
 echo "== portable build (-DIW_SIMD=OFF) must reproduce the same bytes =="
 cmake -B build-nosimd -S . -DIW_SIMD=OFF >/dev/null
 cmake --build build-nosimd -j "$(nproc)" --target bench_fleet_throughput
 ./build-nosimd/bench/bench_fleet_throughput --smoke | tee /tmp/iw_smoke_nosimd.txt
-digest_simd=$(grep -o 'smoke digest: [0-9a-f]*' /tmp/iw_smoke_simd.txt)
-digest_nosimd=$(grep -o 'smoke digest: [0-9a-f]*' /tmp/iw_smoke_nosimd.txt)
-if [ "$digest_simd" != "$digest_nosimd" ]; then
-  echo "FAIL: SIMD and portable builds disagree ($digest_simd vs $digest_nosimd)"
+if ! grep -q "smoke digest: $smoke_digest" /tmp/iw_smoke_nosimd.txt; then
+  echo "FAIL: portable build's smoke digest is not the pinned $smoke_digest"
   exit 1
 fi
-echo "portable build matches SIMD build ($digest_simd)"
+echo "portable build matches SIMD build ($smoke_digest)"
 
 echo
 echo "== clang-tidy (skipped automatically when not installed) =="

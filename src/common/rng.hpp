@@ -44,7 +44,7 @@ class Rng {
   /// (via splitmix64) from the *construction* seed and `stream_id` only, so
   /// substreams do not depend on how many values were drawn from the parent,
   /// and distinct stream ids give decorrelated sequences. This is what makes
-  /// per-device RNG in the fleet engine independent of worker scheduling.
+  /// per-device RNG in the fleet runner independent of worker scheduling.
   Rng substream(std::uint64_t stream_id) const;
 
   /// Captures the full generator state at the current draw position.

@@ -5,7 +5,9 @@
 // step/run interface. All randomness comes from the scenario's RNG substream,
 // and the shared app is only read through const methods, so a device's
 // outcome depends on nothing but its Scenario — the property the fleet
-// engine's thread-count-independence rests on.
+// runner's thread-count-independence rests on. DeviceInstance is not a
+// production path: run_per_device_oracle (fleet_stats.hpp) loops it over a
+// population as the reference ShardSimulator is checked against.
 #pragma once
 
 #include <array>
@@ -53,7 +55,7 @@ struct DeviceOutcome {
 
 /// Folds one finished day into a device's running outcome: counters, energy
 /// totals, SoC extremes, and the derived per-minute rates / self-sustaining
-/// flag. Shared by the per-device loop (DeviceInstance) and the cohort runner
+/// flag. Shared by the per-device loop (DeviceInstance) and ShardSimulator
 /// so both paths perform the exact same floating-point fold in the same
 /// translation unit — part of the fleet's bit-exactness contract.
 void accumulate_day_outcome(DeviceOutcome& outcome,
@@ -62,7 +64,7 @@ void accumulate_day_outcome(DeviceOutcome& outcome,
 
 /// Buckets a shared app's test-set window indices by true label — the pool
 /// detection windows are drawn from. Pure function of the app's test split;
-/// the cohort runner computes it once per worker instead of once per device.
+/// ShardSimulator computes it once per worker instead of once per device.
 void build_windows_by_level(const core::StressDetectionApp& app,
                             std::array<std::vector<std::size_t>, 3>& buckets);
 
@@ -82,13 +84,12 @@ void draw_day_picks(Rng& rng, const Scenario& scenario,
 void tally_picks(const core::StressDetectionApp& app,
                  std::span<const std::size_t> picks, DeviceOutcome& outcome);
 
-/// Reusable per-worker state for sequentially simulated devices. The fleet
-/// engine keeps one per worker thread so that building and lux-scaling a
-/// device's profile stops allocating after the first device, and so the
-/// harvester calibration fit — a deterministic nested bisection costing more
-/// than an entire simulated device-day — runs once per worker instead of once
-/// per device. A scratch must only ever serve one live DeviceInstance at a
-/// time.
+/// Reusable state for sequentially simulated devices. run_per_device_oracle
+/// keeps one per run so that building and lux-scaling a device's profile
+/// stops allocating after the first device, and so the harvester calibration
+/// fit — a deterministic nested bisection costing more than an entire
+/// simulated device-day — runs once instead of once per device. A scratch
+/// must only ever serve one live DeviceInstance at a time.
 struct DeviceScratch {
   hv::DayProfile base_profile;
   hv::DayProfile scaled_profile;
@@ -101,7 +102,7 @@ class DeviceInstance {
  public:
   /// `app` may be null (energy/duty-cycle simulation only). When set it must
   /// outlive the instance; it is shared read-only across the whole fleet.
-  /// `scratch` optionally supplies per-worker day-profile buffers; it must
+  /// `scratch` optionally supplies shared day-profile buffers; it must
   /// outlive the instance and must not be used concurrently. When null the
   /// device owns its buffers.
   explicit DeviceInstance(Scenario scenario,
@@ -136,7 +137,7 @@ class DeviceInstance {
  private:
   void classify_windows(std::uint64_t completed_today);
 
-  /// The per-worker scratch (profile buffers + calibrated harvester): the
+  /// The scratch (profile buffers + calibrated harvester): the
   /// shared one handed in at construction, or an own lazily built bundle.
   DeviceScratch& scratch() { return *scratch_; }
 

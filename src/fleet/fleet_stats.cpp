@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "common/error.hpp"
 #include "common/stats.hpp"
 
 namespace iw::fleet {
@@ -56,57 +55,10 @@ void append_percentiles(std::string& out, const char* key,
 
 }  // namespace
 
-void FleetStats::set_record_outcomes(bool record) {
-  ensure(counters_.devices == 0,
-         "FleetStats: retention mode must be set before adding devices");
-  record_outcomes_ = record;
-}
-
-void FleetStats::add(const DeviceOutcome& outcome) {
-  Counters& c = counters_;
-  ++c.devices;
-  c.detections_attempted += outcome.detections_attempted;
-  c.detections_completed += outcome.detections_completed;
-  c.detections_skipped += outcome.detections_skipped;
-  c.harvested_j += outcome.harvested_j;
-  c.consumed_j += outcome.consumed_j;
-  c.classified += outcome.classified;
-  for (std::size_t i = 0; i < c.class_counts.size(); ++i) {
-    c.class_counts[i] += outcome.class_counts[i];
-  }
-  if (outcome.self_sustaining) ++c.self_sustaining;
-  const auto profile = static_cast<std::size_t>(outcome.profile);
-  const auto policy = static_cast<std::size_t>(outcome.policy);
-  if (profile < c.per_profile.size()) ++c.per_profile[profile];
-  if (policy < c.per_policy.size()) ++c.per_policy[policy];
-  if (record_outcomes_) outcomes_.push_back(outcome);
-}
+void FleetStats::add(const DeviceOutcome& outcome) { outcomes_.push_back(outcome); }
 
 void FleetStats::merge(const FleetStats& other) {
-  ensure(!record_outcomes_ || other.record_outcomes_ ||
-             other.counters_.devices == 0,
-         "FleetStats: cannot merge a row-free shard into a retaining aggregate");
-  Counters& c = counters_;
-  const Counters& o = other.counters_;
-  c.devices += o.devices;
-  c.detections_attempted += o.detections_attempted;
-  c.detections_completed += o.detections_completed;
-  c.detections_skipped += o.detections_skipped;
-  c.harvested_j += o.harvested_j;
-  c.consumed_j += o.consumed_j;
-  c.self_sustaining += o.self_sustaining;
-  c.classified += o.classified;
-  for (std::size_t i = 0; i < c.class_counts.size(); ++i) {
-    c.class_counts[i] += o.class_counts[i];
-  }
-  for (std::size_t i = 0; i < c.per_profile.size(); ++i) {
-    c.per_profile[i] += o.per_profile[i];
-  }
-  for (std::size_t i = 0; i < c.per_policy.size(); ++i) {
-    c.per_policy[i] += o.per_policy[i];
-  }
-  if (!record_outcomes_) return;
-  // Reserve up front: the engine folds hundreds of shards into one aggregate,
+  // Reserve up front: the runner folds hundreds of shards into one aggregate,
   // and growing geometrically through that reduction re-copies the accumulated
   // table log-many times.
   outcomes_.reserve(outcomes_.size() + other.outcomes_.size());
@@ -114,8 +66,6 @@ void FleetStats::merge(const FleetStats& other) {
 }
 
 std::vector<DeviceOutcome> FleetStats::outcome_table() const {
-  ensure(record_outcomes_ || counters_.devices == 0,
-         "FleetStats: outcome table unavailable with row retention off");
   std::vector<DeviceOutcome> table = outcomes_;
   std::sort(table.begin(), table.end(),
             [](const DeviceOutcome& a, const DeviceOutcome& b) {
@@ -172,35 +122,14 @@ FleetStats::Summary summarize_table(const std::vector<DeviceOutcome>& table) {
 }  // namespace
 
 FleetStats::Summary FleetStats::summarize() const {
-  if (record_outcomes_) return summarize_table(outcome_table());
-  // Row-free summary from the running counters; the percentile blocks need
-  // per-device values and stay zero.
-  Summary s;
-  const Counters& c = counters_;
-  s.devices = c.devices;
-  s.detections_attempted = c.detections_attempted;
-  s.detections_completed = c.detections_completed;
-  s.detections_skipped = c.detections_skipped;
-  s.harvested_j = c.harvested_j;
-  s.consumed_j = c.consumed_j;
-  s.classified = c.classified;
-  s.class_counts = c.class_counts;
-  s.per_profile = c.per_profile;
-  s.per_policy = c.per_policy;
-  if (c.devices > 0) {
-    s.fraction_self_sustaining =
-        static_cast<double>(c.self_sustaining) / static_cast<double>(c.devices);
-  }
-  return s;
+  return summarize_table(outcome_table());
 }
 
 std::string FleetStats::serialize() const {
   // One sorted table pass serves both the summary and the per-device rows
-  // (summarize() + the row loop used to each sort their own copy). With row
-  // retention off the table is empty and only the summary line is emitted.
-  const std::vector<DeviceOutcome> table =
-      record_outcomes_ ? outcome_table() : std::vector<DeviceOutcome>{};
-  const Summary s = record_outcomes_ ? summarize_table(table) : summarize();
+  // (summarize() + the row loop used to each sort their own copy).
+  const std::vector<DeviceOutcome> table = outcome_table();
+  const Summary s = summarize_table(table);
   std::string out = "fleet";
   append_u(out, "devices", s.devices);
   append_u(out, "attempted", s.detections_attempted);
@@ -239,6 +168,24 @@ std::string FleetStats::serialize() const {
     out += buf;
   }
   return out;
+}
+
+FleetStats run_per_device_oracle(std::uint64_t fleet_seed, std::size_t num_devices,
+                                 int days, const core::StressDetectionApp* app,
+                                 DayDriver driver) {
+  FleetStats stats;
+  // Devices run strictly one after another, so they can share one scratch;
+  // its calibrated harvester is bit-identical to each device fitting its own.
+  DeviceScratch scratch;
+  for (std::uint64_t id = 0; id < num_devices; ++id) {
+    Scenario scenario = sample_scenario(fleet_seed, id);
+    scenario.days = days;
+    DeviceInstance device(scenario, app, &scratch);
+    device.set_fast_day(driver == DayDriver::kFast);
+    device.run();
+    stats.add(device.outcome());
+  }
+  return stats;
 }
 
 }  // namespace iw::fleet

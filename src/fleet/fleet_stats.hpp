@@ -1,7 +1,7 @@
 // Mergeable fleet-wide aggregate statistics.
 //
-// Each worker shard accumulates the outcomes of the devices it simulated into
-// its own FleetStats; the engine then merges shards in a fixed order. Every
+// Each shard accumulates the outcomes of the devices it simulated into its
+// own FleetStats; the runner then merges shards in a fixed order. Every
 // derived quantity (percentiles, fractions, totals) is computed from the
 // per-device outcome table sorted by device id, so the aggregate — down to
 // the last bit of every double — is independent of how devices were
@@ -19,26 +19,15 @@ namespace iw::fleet {
 
 class FleetStats {
  public:
-  /// Turns per-device row retention off (or back on). Must be called before
-  /// any device is added. With retention off, add() folds each outcome into
-  /// running counters and drops the row — O(1) memory for any fleet size —
-  /// at the price of the row-derived outputs: percentiles read as zero,
-  /// outcome_table() is unavailable, and serialize() emits only the summary
-  /// line. With retention on (the default) every output is byte-identical
-  /// to a FleetStats that never heard of the toggle.
-  void set_record_outcomes(bool record);
-  bool record_outcomes() const { return record_outcomes_; }
-
   /// Records one finished device.
   void add(const DeviceOutcome& outcome);
 
-  /// Folds another shard's devices into this one. A retaining aggregate can
-  /// only merge shards that also retained their rows.
+  /// Folds another shard's devices into this one.
   void merge(const FleetStats& other);
 
-  std::size_t device_count() const { return counters_.devices; }
+  std::size_t device_count() const { return outcomes_.size(); }
 
-  /// Per-device outcome table, sorted by device id. Requires row retention.
+  /// Per-device outcome table, sorted by device id.
   std::vector<DeviceOutcome> outcome_table() const;
 
   struct Percentiles {
@@ -73,28 +62,23 @@ class FleetStats {
   std::string serialize() const;
 
  private:
-  /// Row-free running totals, maintained in add/merge order regardless of the
-  /// retention mode. With retention on, summaries still come from the sorted
-  /// table (bit-for-bit the historical output); the counters only feed
-  /// device_count() and the retention-off summary, whose double totals sum in
-  /// accumulation order instead.
-  struct Counters {
-    std::size_t devices = 0;
-    std::uint64_t detections_attempted = 0;
-    std::uint64_t detections_completed = 0;
-    std::uint64_t detections_skipped = 0;
-    double harvested_j = 0.0;
-    double consumed_j = 0.0;
-    std::size_t self_sustaining = 0;
-    std::array<std::uint64_t, 3> class_counts{};
-    std::uint64_t classified = 0;
-    std::array<std::size_t, kNumWearerProfiles> per_profile{};
-    std::array<std::size_t, kNumPolicyKinds> per_policy{};
-  };
-
-  bool record_outcomes_ = true;
-  Counters counters_;
   std::vector<DeviceOutcome> outcomes_;
 };
+
+/// Day driver for run_per_device_oracle: the discrete-event engine (with the
+/// trace recording the fleet loop always paid for) or the fast-path
+/// segment integrator. Both are bit-identical per device.
+enum class DayDriver { kEngine, kFast };
+
+/// The per-device reference fleet: devices [0, num_devices) of `fleet_seed`,
+/// each run alone through DeviceInstance for `days` days, serially, rows
+/// retained. Of ShardSimulator (the production day loop) it shares only the
+/// per-day helpers (accumulate_day_outcome, draw_day_picks, tally_picks), not
+/// its lane state, cohort kernel or shard partition: it is the oracle that
+/// tests and the throughput bench's cross-checks compare the runner against.
+/// `app` may be null.
+FleetStats run_per_device_oracle(std::uint64_t fleet_seed, std::size_t num_devices,
+                                 int days, const core::StressDetectionApp* app,
+                                 DayDriver driver);
 
 }  // namespace iw::fleet

@@ -6,8 +6,8 @@ namespace iw::fleet {
 namespace {
 
 // File magic: "IWLCKPT1" as raw bytes, followed by a format version.
-constexpr std::uint8_t kMagic[8] = {'I', 'W', 'L', 'C', 'K', 'P', 'T', '1'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint8_t kCheckpointMagic[8] = {'I', 'W', 'L', 'C', 'K', 'P', 'T', '1'};
+constexpr std::uint32_t kCheckpointVersion = 1;
 
 }  // namespace
 
@@ -76,8 +76,8 @@ DeviceCheckpoint load_device_checkpoint(ByteReader& in) {
 
 void save_checkpoint_header(const CheckpointHeader& header, ByteWriter& out) {
   const std::size_t start = out.size();
-  out.bytes(kMagic, sizeof kMagic);
-  out.u32(kVersion);
+  out.bytes(kCheckpointMagic, sizeof kCheckpointMagic);
+  out.u32(kCheckpointVersion);
   out.u64(header.fleet_seed);
   out.u64(header.first_device);
   out.u64(header.num_devices);
@@ -94,9 +94,10 @@ CheckpointHeader load_checkpoint_header(ByteReader& in) {
   std::uint8_t magic[8];
   in.bytes(magic, sizeof magic);
   for (std::size_t i = 0; i < sizeof magic; ++i) {
-    ensure(magic[i] == kMagic[i], "checkpoint: bad magic (not a fleet checkpoint)");
+    ensure(magic[i] == kCheckpointMagic[i],
+           "checkpoint: bad magic (not a fleet checkpoint)");
   }
-  ensure(in.u32() == kVersion, "checkpoint: unsupported format version");
+  ensure(in.u32() == kCheckpointVersion, "checkpoint: unsupported format version");
   CheckpointHeader header;
   header.fleet_seed = in.u64();
   header.first_device = in.u64();

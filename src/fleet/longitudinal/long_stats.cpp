@@ -9,8 +9,8 @@
 namespace iw::fleet {
 namespace {
 
-constexpr std::uint32_t kMagic = 0x4c475354u;  // "LGST"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kStatsMagic = 0x4c475354u;  // "LGST"
+constexpr std::uint32_t kStatsVersion = 1;
 
 /// FNV-1a over a span of u64 values (fed byte-wise, little-endian) — the
 /// serialize() digest that pins every histogram bin without printing all of
@@ -219,8 +219,8 @@ std::string LongitudinalStats::serialize() const {
 }
 
 void LongitudinalStats::save(ByteWriter& out) const {
-  out.u32(kMagic);
-  out.u32(kVersion);
+  out.u32(kStatsMagic);
+  out.u32(kStatsVersion);
   out.u32(static_cast<std::uint32_t>(days_));
   out.u32(static_cast<std::uint32_t>(soc_bins_));
   for (const DayCounters& c : cells_) {
@@ -237,8 +237,8 @@ void LongitudinalStats::save(ByteWriter& out) const {
 }
 
 LongitudinalStats LongitudinalStats::load(ByteReader& in) {
-  ensure(in.u32() == kMagic, "LongitudinalStats::load: bad magic");
-  ensure(in.u32() == kVersion, "LongitudinalStats::load: unsupported version");
+  ensure(in.u32() == kStatsMagic, "LongitudinalStats::load: bad magic");
+  ensure(in.u32() == kStatsVersion, "LongitudinalStats::load: unsupported version");
   const std::uint32_t days = in.u32();
   const std::uint32_t soc_bins = in.u32();
   ensure(days >= 1 && days <= 1u << 20, "LongitudinalStats::load: bad day count");

@@ -20,14 +20,15 @@ namespace iw::fleet {
 // ---------------------------------------------------------------------------
 // ShardSimulator
 //
-// The day loop is the fleet engine's cohort path (fleet/cohort_runner.cpp)
-// re-timed for longitudinal use: identical per-lane setup, identical RNG draw
-// order (lux factor for day d, then day d's window picks, then day d+1), and
-// the same shared helpers (accumulate_day_outcome, draw_day_picks, the
-// cohort day kernel), so per device the bits match the fleet engine on the
-// same scenarios. What changes is control: days are advanced one step_day()
-// at a time so the runner can cut (checkpoint) or splice (resume) the run at
-// any day boundary, and each advanced day can stream into LongitudinalStats.
+// The fleet's day loop: every lane runs DeviceInstance's day
+// (fleet/device_instance.cpp) in lockstep through the cohort day kernel, with
+// the same per-lane setup, the same RNG draw order (lux factor for day d,
+// then day d's window picks, then day d+1) and the same shared helpers
+// (accumulate_day_outcome, draw_day_picks, tally_picks), so per device the
+// bits match the per-device loop (run_per_device_oracle) on the same
+// scenarios. Days are advanced one step_day() at a time so the runner can
+// cut (checkpoint) or splice (resume) the run at any day boundary, and each
+// advanced day can stream into LongitudinalStats.
 // ---------------------------------------------------------------------------
 
 ShardSimulator::ShardSimulator(const core::StressDetectionApp* app) : app_(app) {
@@ -37,7 +38,8 @@ ShardSimulator::ShardSimulator(const core::StressDetectionApp* app) : app_(app) 
 const platform::DetectionPolicy* ShardSimulator::policy_for(
     const Scenario& scenario) {
   // Fixed-rate devices run the kernel's plain periodic stream, exactly like
-  // the fleet engine's cohort path.
+  // DeviceInstance (a FixedRatePolicy object would be bit-identical but pays
+  // a virtual call per attempt).
   if (scenario.policy == PolicyKind::kFixedRate) return nullptr;
   for (const PooledPolicy& p : policies_) {
     if (p.kind == scenario.policy && p.period_s == scenario.detection_period_s) {
@@ -129,7 +131,7 @@ bool ShardSimulator::step_day(LongitudinalStats* sink) {
   for (std::size_t i = 0; i < n; ++i) {
     if (day > scenarios_[i].days) continue;
     // Day-to-day weather/behaviour variation, from this device's own stream —
-    // drawn in the same per-device order as the fleet engine.
+    // drawn in the same per-device order as DeviceInstance.
     const double lux_factor =
         std::exp(rngs_[i].normal(0.0, scenarios_[i].lux_sigma_day));
     platform::scale_profile_lux_into(base_profiles_[i], lux_factor,
@@ -331,7 +333,7 @@ LongitudinalResult LongitudinalRunner::run() const {
   for (int i = 0; i < threads; ++i) worker_stats.emplace_back(cfg.days, cfg.soc_bins);
 
   // Per-shard outcome rows (only populated under record_outcomes), merged in
-  // shard order — the fleet engine's deterministic-reduction pattern.
+  // shard order, so the reduction order is fixed as well.
   std::vector<FleetStats> outcome_shards(
       cfg.record_outcomes ? static_cast<std::size_t>(num_shards) : 0);
 

@@ -103,7 +103,7 @@ struct LongitudinalResult {
 /// building block under LongitudinalRunner, public so tests and tools can
 /// drive crafted populations (e.g. battery-empty/full edge states) through
 /// the exact production day loop. Per device, outcomes are bit-identical to
-/// the fleet engine's cohort path on the same scenarios.
+/// the per-device loop (run_per_device_oracle) on the same scenarios.
 ///
 /// One simulator per worker thread; buffers and caches are reused across
 /// begin()/resume() cycles and are not thread-safe.

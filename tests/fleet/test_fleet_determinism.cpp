@@ -1,75 +1,62 @@
-// The fleet engine's hard invariant: for a fixed fleet seed, results are
-// bit-identical no matter how many worker threads simulate the fleet.
+// The fleet runner's hard invariant: for a fixed fleet seed, results are
+// bit-identical no matter how many worker threads simulate the fleet or how
+// the population is cut into shards.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "fleet/fleet_engine.hpp"
+#include "fleet_fixtures.hpp"
 
 namespace iw::fleet {
 namespace {
 
-FleetConfig small_fleet(int threads) {
-  FleetConfig config;
-  config.num_devices = 48;
-  config.fleet_seed = 2020;
-  config.days = 2;
-  config.threads = threads;
-  config.chunk_size = 4;  // 12 chunks -> plenty of interleaving at 8 threads
-  return config;
+using test::population;
+using test::runner_rows;
+
+LongitudinalConfig small_fleet(int threads) {
+  // Shards of at most 4 devices: 12+ shards -> plenty of interleaving.
+  return population(48, 2020, 2, threads, 4);
 }
 
 TEST(FleetDeterminism, ByteIdenticalAcrossThreadCounts) {
-  const std::string at1 = FleetEngine(small_fleet(1)).run().stats.serialize();
-  const std::string at2 = FleetEngine(small_fleet(2)).run().stats.serialize();
-  const std::string at8 = FleetEngine(small_fleet(8)).run().stats.serialize();
-  EXPECT_EQ(at1, at2);
-  EXPECT_EQ(at1, at8);
+  // The runner's own partition (about four shards per worker), which moves
+  // with the thread count.
+  const std::string at1 = runner_rows(population(48, 2020, 2, 1));
+  EXPECT_EQ(at1, runner_rows(population(48, 2020, 2, 2)));
+  EXPECT_EQ(at1, runner_rows(population(48, 2020, 2, 8)));
 }
 
 TEST(FleetDeterminism, ChunkSizeDoesNotChangeResults) {
-  FleetConfig coarse = small_fleet(4);
-  coarse.chunk_size = 48;  // one chunk: zero parallel interleaving
-  FleetConfig fine = small_fleet(4);
-  fine.chunk_size = 1;  // maximal interleaving
-  EXPECT_EQ(FleetEngine(coarse).run().stats.serialize(),
-            FleetEngine(fine).run().stats.serialize());
+  // Shard size is the runner's work chunk: one shard per round (no parallel
+  // interleaving) and one device per shard must agree.
+  LongitudinalConfig coarse = small_fleet(4);
+  coarse.shard_size = 48;
+  LongitudinalConfig fine = small_fleet(4);
+  fine.shard_size = 1;
+  EXPECT_EQ(runner_rows(coarse), runner_rows(fine));
 }
 
 TEST(FleetDeterminism, RerunIsBitIdentical) {
-  const FleetConfig config = small_fleet(3);
-  EXPECT_EQ(FleetEngine(config).run().stats.serialize(),
-            FleetEngine(config).run().stats.serialize());
+  const LongitudinalConfig config = small_fleet(3);
+  EXPECT_EQ(runner_rows(config), runner_rows(config));
 }
 
 TEST(FleetDeterminism, DifferentSeedsProduceDifferentFleets) {
-  FleetConfig a = small_fleet(2);
-  FleetConfig b = small_fleet(2);
+  LongitudinalConfig b = small_fleet(2);
   b.fleet_seed = 2021;
-  EXPECT_NE(FleetEngine(a).run().stats.serialize(),
-            FleetEngine(b).run().stats.serialize());
+  EXPECT_NE(runner_rows(small_fleet(2)), runner_rows(b));
 }
 
 TEST(FleetDeterminism, SharedAppClassificationIsThreadCountInvariant) {
-  // A deliberately tiny app: the point is shared const access from many
-  // workers, not model quality.
-  core::AppConfig app_config;
-  app_config.dataset.subjects = 2;
-  app_config.dataset.minutes_per_level = 2.0;
-  app_config.training.max_epochs = 40;
-  const core::StressDetectionApp app = core::StressDetectionApp::build(app_config);
-
-  FleetConfig config = small_fleet(1);
-  config.num_devices = 16;
-  config.days = 1;
-  config.app = &app;
-  const FleetResult serial = FleetEngine(config).run();
+  // Shared const access to one app from many workers.
+  LongitudinalConfig config = population(16, 2020, 1, 1, 4);
+  config.app = &test::tiny_app();
+  config.record_outcomes = true;
+  const LongitudinalResult serial = LongitudinalRunner(config).run();
   config.threads = 8;
-  const FleetResult threaded = FleetEngine(config).run();
-
-  EXPECT_EQ(serial.stats.serialize(), threaded.stats.serialize());
+  EXPECT_EQ(serial.outcomes.serialize(), runner_rows(config));
   // The app actually classified windows.
-  EXPECT_GT(serial.stats.summarize().classified, 0u);
+  EXPECT_GT(serial.outcomes.summarize().classified, 0u);
 }
 
 // Regression pin for one small fleet: catches accidental changes to scenario
@@ -77,12 +64,9 @@ TEST(FleetDeterminism, SharedAppClassificationIsThreadCountInvariant) {
 // these numbers *intentionally* (new scenario fields, different draw order),
 // re-pin them and say so in the PR description.
 TEST(FleetRegression, PinnedSmallFleetAggregates) {
-  FleetConfig config;
-  config.num_devices = 16;
-  config.fleet_seed = 2020;
-  config.days = 1;
-  config.threads = 2;
-  const FleetStats::Summary s = FleetEngine(config).run().stats.summarize();
+  LongitudinalConfig config = population(16, 2020, 1, 2);
+  config.record_outcomes = true;
+  const FleetStats::Summary s = LongitudinalRunner(config).run().outcomes.summarize();
 
   EXPECT_EQ(s.devices, 16u);
   EXPECT_EQ(s.detections_attempted, 28810u);

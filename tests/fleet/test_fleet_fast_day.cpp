@@ -1,69 +1,40 @@
-// FleetConfig::fast_day must be invisible in the results: the aggregate
+// The per-device oracle's day driver must be invisible in the results: the
 // FleetStats serialization (summary + full per-device outcome table, every
-// double printed exactly) has to be byte-identical with the fast path on and
-// off, at any thread count, with and without the shared classification app.
+// double printed exactly) has to be byte-identical on the discrete-event
+// engine and on the fast path, with and without the shared classification
+// app. The runner reports its own throughput.
 #include <gtest/gtest.h>
 
 #include <string>
 
-#include "fleet/fleet_engine.hpp"
+#include "fleet_fixtures.hpp"
 
 namespace iw::fleet {
 namespace {
 
-FleetConfig mixed_fleet(int threads, bool fast_day) {
-  FleetConfig config;
-  config.num_devices = 48;  // covers all archetypes, policies and duty cycles
-  config.fleet_seed = 2020;
-  config.days = 2;
-  config.threads = threads;
-  config.chunk_size = 4;
-  config.fast_day = fast_day;
-  return config;
-}
-
 TEST(FleetFastDay, ByteIdenticalToEnginePathAcrossThreadCounts) {
-  const std::string engine_path =
-      FleetEngine(mixed_fleet(1, false)).run().stats.serialize();
-  for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(engine_path,
-              FleetEngine(mixed_fleet(threads, true)).run().stats.serialize())
-        << "fast path diverged at " << threads << " threads";
-    EXPECT_EQ(engine_path,
-              FleetEngine(mixed_fleet(threads, false)).run().stats.serialize())
-        << "engine path not thread-invariant at " << threads << " threads";
-  }
+  // 48 devices cover all archetypes, policies and duty cycles. The
+  // per-device loop is serial; FleetCohort checks the runner against it at
+  // 1/2/8 threads.
+  const FleetStats engine = run_per_device_oracle(2020, 48, 2, nullptr, DayDriver::kEngine);
+  const FleetStats fast = run_per_device_oracle(2020, 48, 2, nullptr, DayDriver::kFast);
+  EXPECT_EQ(engine.serialize(), fast.serialize());
 }
 
 TEST(FleetFastDay, ByteIdenticalWithSharedApp) {
   // Classification windows are drawn from the device RNG *after* the day
   // simulation, so a fast path that consumed different randomness or produced
   // different detection counts would shift every subsequent draw.
-  core::AppConfig app_config;
-  app_config.dataset.subjects = 2;
-  app_config.dataset.minutes_per_level = 2.0;
-  app_config.training.max_epochs = 40;
-  const core::StressDetectionApp app = core::StressDetectionApp::build(app_config);
-
-  FleetConfig fast = mixed_fleet(2, true);
-  fast.num_devices = 16;
-  fast.days = 1;
-  fast.app = &app;
-  FleetConfig engine_path = fast;
-  engine_path.fast_day = false;
-
-  const FleetResult fast_result = FleetEngine(fast).run();
-  EXPECT_EQ(fast_result.stats.serialize(),
-            FleetEngine(engine_path).run().stats.serialize());
-  EXPECT_GT(fast_result.stats.summarize().classified, 0u);
+  const core::StressDetectionApp& app = test::tiny_app();
+  const FleetStats fast = run_per_device_oracle(2020, 16, 1, &app, DayDriver::kFast);
+  EXPECT_EQ(fast.serialize(),
+            run_per_device_oracle(2020, 16, 1, &app, DayDriver::kEngine).serialize());
+  EXPECT_GT(fast.summarize().classified, 0u);
 }
 
 TEST(FleetFastDay, ReportsDeviceDaysPerSec) {
-  FleetConfig config = mixed_fleet(1, true);
-  config.num_devices = 4;
-  const FleetResult result = FleetEngine(config).run();
-  EXPECT_DOUBLE_EQ(result.device_days_per_sec,
-                   result.devices_per_sec * config.days);
+  const LongitudinalResult result = LongitudinalRunner(test::population(4, 2020, 2, 1)).run();
+  EXPECT_DOUBLE_EQ(result.device_days_per_sec, 4.0 * 2.0 / result.wall_s);
   EXPECT_GT(result.device_days_per_sec, 0.0);
 }
 

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 
 namespace iw::fleet {
 namespace {
@@ -200,79 +199,6 @@ TEST(FleetStats, PercentilesNaNFreeUnderMergeOrderPermutations) {
       EXPECT_EQ(serialized, reference);
     }
   } while (std::next_permutation(order.begin(), order.end()));
-}
-
-TEST(FleetStats, RecordOutcomesOffMatchesCountersExactly) {
-  // Retention off: counters must agree exactly with the table-derived
-  // summary on every non-percentile field (integer totals and the
-  // self-sustaining fraction are order-independent here; the double energy
-  // sums accumulate in the same add order in both modes).
-  FleetStats with_rows;
-  FleetStats counters_only;
-  counters_only.set_record_outcomes(false);
-  for (std::uint64_t id = 0; id < 24; ++id) {
-    const DeviceOutcome o = outcome(id, 0.1 + 0.03 * static_cast<double>(id),
-                                    id % 3 != 0, 10 * id);
-    with_rows.add(o);
-    counters_only.add(o);
-  }
-  EXPECT_EQ(counters_only.device_count(), 24u);
-  const FleetStats::Summary a = with_rows.summarize();
-  const FleetStats::Summary b = counters_only.summarize();
-  EXPECT_EQ(a.devices, b.devices);
-  EXPECT_EQ(a.detections_attempted, b.detections_attempted);
-  EXPECT_EQ(a.detections_completed, b.detections_completed);
-  EXPECT_EQ(a.detections_skipped, b.detections_skipped);
-  EXPECT_EQ(a.classified, b.classified);
-  EXPECT_EQ(a.class_counts, b.class_counts);
-  EXPECT_EQ(a.per_profile, b.per_profile);
-  EXPECT_EQ(a.per_policy, b.per_policy);
-  EXPECT_DOUBLE_EQ(a.fraction_self_sustaining, b.fraction_self_sustaining);
-  // Row-only outputs are flagged, not silently wrong.
-  EXPECT_DOUBLE_EQ(b.final_soc.p50, 0.0);
-  EXPECT_THROW(counters_only.outcome_table(), Error);
-}
-
-TEST(FleetStats, RecordOutcomesOnIsByteIdenticalToDefault) {
-  FleetStats plain;
-  FleetStats explicit_on;
-  explicit_on.set_record_outcomes(true);
-  for (std::uint64_t id = 0; id < 12; ++id) {
-    plain.add(outcome(id, 0.5, true));
-    explicit_on.add(outcome(id, 0.5, true));
-  }
-  EXPECT_EQ(plain.serialize(), explicit_on.serialize());
-}
-
-TEST(FleetStats, RecordOutcomesOffSerializesSummaryLineOnly) {
-  FleetStats stats;
-  stats.set_record_outcomes(false);
-  stats.add(outcome(3, 0.7, true));
-  const std::string s = stats.serialize();
-  EXPECT_NE(s.find("fleet devices=1"), std::string::npos);
-  EXPECT_EQ(s.find("dev 3"), std::string::npos);
-}
-
-TEST(FleetStats, RecordOutcomesModeGuards) {
-  FleetStats stats;
-  stats.add(outcome(0, 0.5, true));
-  EXPECT_THROW(stats.set_record_outcomes(false), Error);  // too late
-
-  FleetStats retaining;
-  FleetStats row_free;
-  row_free.set_record_outcomes(false);
-  row_free.add(outcome(1, 0.5, true));
-  EXPECT_THROW(retaining.merge(row_free), Error);  // rows are gone
-
-  // The other direction is fine: a row-free aggregate folds a retaining
-  // shard's counters and drops its rows.
-  FleetStats sink;
-  sink.set_record_outcomes(false);
-  FleetStats shard;
-  shard.add(outcome(2, 0.5, false));
-  sink.merge(shard);
-  sink.merge(row_free);
-  EXPECT_EQ(sink.device_count(), 2u);
 }
 
 }  // namespace

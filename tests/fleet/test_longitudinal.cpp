@@ -6,7 +6,7 @@
 // bit-identical results to never having stopped, across every archetype,
 // policy variant, and battery edge state. Alongside it: the runner's
 // aggregates are byte-identical across thread counts and shard sizes, and
-// its per-device rows match the fleet engine oracle.
+// its per-device rows match the per-device oracle.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -16,8 +16,8 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "fleet/fleet_engine.hpp"
 #include "fleet/longitudinal/runner.hpp"
+#include "fleet_fixtures.hpp"
 
 namespace iw::fleet {
 namespace {
@@ -213,11 +213,7 @@ TEST(ShardSimulator, ResumeValidatesCheckpointsAgainstScenarios) {
 TEST(ShardSimulator, CheckpointResumeWithClassificationApp) {
   // The app path consumes extra RNG draws (window picks) and folds labels
   // into the outcome; a mid-run cut must preserve both.
-  core::AppConfig app_config;
-  app_config.dataset.subjects = 2;
-  app_config.dataset.minutes_per_level = 2.0;
-  app_config.training.max_epochs = 40;
-  const core::StressDetectionApp app = core::StressDetectionApp::build(app_config);
+  const core::StressDetectionApp& app = test::tiny_app();
 
   std::vector<Scenario> scenarios;
   for (std::uint64_t id = 0; id < 12; ++id) {
@@ -248,25 +244,17 @@ TEST(ShardSimulator, CheckpointResumeWithClassificationApp) {
   EXPECT_EQ(expected, rows_of(second));
 }
 
-TEST(LongitudinalRunner, MatchesFleetEngineOracle) {
+TEST(LongitudinalRunner, MatchesPerDeviceOracle) {
   // Same population spec through the longitudinal runner (with row retention)
-  // and the fleet engine's cohort path: per-device rows must agree byte for
-  // byte — the longitudinal day loop is the same simulation, re-timed.
-  LongitudinalConfig config;
-  config.num_devices = 40;
-  config.fleet_seed = 2020;
-  config.days = 3;
-  config.shard_size = 16;
+  // and the per-device engine-path loop: per-device rows must agree byte for
+  // byte — the lockstep day loop is the same simulation, re-timed.
+  LongitudinalConfig config = test::population(40, 2020, 3, 1, 16);
   config.record_outcomes = true;
   const LongitudinalResult longitudinal = LongitudinalRunner(config).run();
 
-  FleetConfig fleet;
-  fleet.num_devices = 40;
-  fleet.fleet_seed = 2020;
-  fleet.days = 3;
-  const FleetResult oracle = FleetEngine(fleet).run();
-
-  EXPECT_EQ(oracle.stats.serialize(), longitudinal.outcomes.serialize());
+  const FleetStats oracle =
+      run_per_device_oracle(2020, 40, 3, nullptr, DayDriver::kEngine);
+  EXPECT_EQ(oracle.serialize(), longitudinal.outcomes.serialize());
   EXPECT_EQ(longitudinal.stats.day_counters(3).devices, 40u);
 }
 

@@ -8,15 +8,12 @@
 #include "common/error.hpp"
 #include "nn/presets.hpp"
 #include "nn/quantize.hpp"
+#include "support/test_inputs.hpp"
 
 namespace iw::kernels {
 namespace {
 
-std::vector<float> random_input(std::size_t n, iw::Rng& rng) {
-  std::vector<float> input(n);
-  for (float& v : input) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  return input;
-}
+using iw::test::random_input;
 
 class FixedKernelBitExact : public ::testing::TestWithParam<Target> {};
 

@@ -5,15 +5,12 @@
 #include "nn/presets.hpp"
 #include "nn/quantize.hpp"
 #include "nn/quantize16.hpp"
+#include "support/test_inputs.hpp"
 
 namespace iw::kernels {
 namespace {
 
-std::vector<float> random_input(std::size_t n, iw::Rng& rng) {
-  std::vector<float> input(n);
-  for (float& v : input) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  return input;
-}
+using iw::test::random_input;
 
 TEST(SimdKernel, BitExactWithHostReferenceTinyNet) {
   iw::Rng rng(11);

@@ -3,18 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include "support/test_inputs.hpp"
 
 namespace iw::nn {
 namespace {
 
-Dataset xor_dataset() {
-  Dataset data;
-  data.add({-1.0f, -1.0f}, {-1.0f});
-  data.add({-1.0f, 1.0f}, {1.0f});
-  data.add({1.0f, -1.0f}, {1.0f});
-  data.add({1.0f, 1.0f}, {-1.0f});
-  return data;
-}
+using iw::test::xor_dataset;
 
 TEST(Train, XorConverges) {
   Rng rng(12345);

@@ -3,18 +3,12 @@
 
 #include "common/error.hpp"
 #include "nn/train.hpp"
+#include "support/test_inputs.hpp"
 
 namespace iw::nn {
 namespace {
 
-Dataset xor_dataset() {
-  Dataset data;
-  data.add({-1.0f, -1.0f}, {-1.0f});
-  data.add({-1.0f, 1.0f}, {1.0f});
-  data.add({1.0f, -1.0f}, {1.0f});
-  data.add({1.0f, 1.0f}, {-1.0f});
-  return data;
-}
+using iw::test::xor_dataset;
 
 /// A linearly separable 2-class feature cloud.
 Dataset blobs(std::uint64_t seed, int per_class = 60) {

@@ -21,6 +21,7 @@
 #include "rvsim/machine.hpp"
 #include "rvsim/memory.hpp"
 #include "rvsim/timing.hpp"
+#include "support/test_inputs.hpp"
 
 namespace iw::rv::analysis {
 namespace {
@@ -613,11 +614,7 @@ TEST(Analysis, XpulpKernelsAreRejectedUnderIbexWithAddressedDiagnostic) {
 // Static bound <= dynamic cycles on the Table-III kernels, via the runner
 // (which arms the verify gate and records the analyzer's bound per run).
 
-std::vector<float> random_input(std::size_t n, iw::Rng& rng) {
-  std::vector<float> input(n);
-  for (float& v : input) v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  return input;
-}
+using iw::test::random_input;
 
 /// floor <= dynamic <= ceiling, with a finite ceiling.
 void expect_sandwich(const kernels::KernelRunResult& r, const std::string& label) {

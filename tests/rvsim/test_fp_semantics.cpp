@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <ostream>
 
 #include "asmx/assembler.hpp"
 #include "common/rng.hpp"
@@ -44,6 +45,11 @@ struct FpCase {
   const char* mnemonic;
   std::function<float(float, float)> golden;
 };
+
+// Named by mnemonic in the test name: gtest's default raw-byte dump would
+// print the string and std::function addresses, which move from build to
+// build.
+void PrintTo(const FpCase& c, std::ostream* os) { *os << c.mnemonic; }
 
 class FpBinarySemantics : public ::testing::TestWithParam<FpCase> {};
 

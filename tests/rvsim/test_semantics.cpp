@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,11 @@ struct BinaryCase {
   const char* mnemonic;
   std::function<U(U, U)> golden;
 };
+
+// gtest prints a parameter into its test name. Name each case by its
+// mnemonic: the default raw-byte dump would print the addresses of the
+// string and of the std::function, which move from build to build.
+void PrintTo(const BinaryCase& c, std::ostream* os) { *os << c.mnemonic; }
 
 class BinarySemantics : public ::testing::TestWithParam<BinaryCase> {};
 
@@ -136,6 +142,8 @@ struct ImmCase {
   S imm_lo, imm_hi;
 };
 
+void PrintTo(const ImmCase& c, std::ostream* os) { *os << c.mnemonic; }
+
 class ImmediateSemantics : public ::testing::TestWithParam<ImmCase> {};
 
 TEST_P(ImmediateSemantics, MatchesGoldenModel) {
@@ -196,6 +204,8 @@ struct UnaryCase {
   std::function<U(U)> golden;
 };
 
+void PrintTo(const UnaryCase& c, std::ostream* os) { *os << c.mnemonic; }
+
 class UnarySemantics : public ::testing::TestWithParam<UnaryCase> {};
 
 TEST_P(UnarySemantics, MatchesGoldenModel) {
@@ -237,6 +247,8 @@ struct BranchCase {
   const char* mnemonic;
   std::function<bool(U, U)> taken;
 };
+
+void PrintTo(const BranchCase& c, std::ostream* os) { *os << c.mnemonic; }
 
 class BranchSemantics : public ::testing::TestWithParam<BranchCase> {};
 

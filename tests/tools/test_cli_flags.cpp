@@ -1,7 +1,7 @@
 // The tools' numeric flag parser (tools/cli_flags.hpp): a value is taken
 // whole and in range, or refused without touching the destination. The ways
-// strtoull/strtol alone go wrong ("-1" wrapping to 2^64 - 1, "10x" reading
-// as 10) are all refusals.
+// strtoull/strtol/stoul alone go wrong ("-1" wrapping to 2^64 - 1, "10x"
+// reading as 10) are all refusals, in base 10 and in base 0 (C literals).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -77,6 +77,33 @@ TEST(CliFlags, AcceptsWholeValuesInRange) {
   EXPECT_EQ(minutes, 2.5);
   EXPECT_TRUE(parse("1e2", 0.1, 1440.0, minutes));
   EXPECT_EQ(minutes, 100.0);
+}
+
+TEST(CliFlags, BaseZeroTakesCLiteralsWhole) {
+  // iw_lint's --mem and --entry addresses: hex and octal like C literals,
+  // still the whole argument, in range and unsigned.
+  std::uint32_t entry = 7;
+  EXPECT_TRUE(parse_number("0x10", 0, UINT32_MAX, entry, 0));
+  EXPECT_EQ(entry, 16u);
+  EXPECT_TRUE(parse_number("010", 0, UINT32_MAX, entry, 0));
+  EXPECT_EQ(entry, 8u);
+  EXPECT_TRUE(parse_number("4096", 0, UINT32_MAX, entry, 0));
+  EXPECT_EQ(entry, 4096u);
+  for (const char* text : {"-5", "4x", "0x", "zz", "", " 4", "0x100000000"}) {
+    EXPECT_FALSE(parse_number(text, 0, UINT32_MAX, entry, 0)) << "'" << text << "'";
+  }
+  EXPECT_EQ(entry, 4096u);
+
+  std::size_t mem = 5;
+  const std::size_t kMaxMem = std::size_t{1} << 32;
+  for (const char* text : {"-1", "zz", "4096x", "0", "0x100000001"}) {
+    std::string flag = "--mem";
+    std::string value = text;
+    char* argv[] = {flag.data(), value.data()};
+    int i = 0;
+    EXPECT_FALSE(flag_value(argv, i, 1, kMaxMem, mem, 0)) << text;
+  }
+  EXPECT_EQ(mem, 5u);
 }
 
 }  // namespace

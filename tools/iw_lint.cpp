@@ -34,6 +34,8 @@
 //       it as a raw little-endian word image at address 0, then analyzes it
 //       under the chosen profile (default ri5cy). Prints the human report
 //       (or JSON with --json); exit 1 when error diagnostics were produced.
+//       --mem and an --entry address are whole numbers (decimal, 0x hex or
+//       0 octal, like C literals); anything else exits 2 with a message.
 #include <cstdio>
 #include <cstdint>
 #include <cstring>
@@ -43,6 +45,7 @@
 #include <vector>
 
 #include "asmx/assembler.hpp"
+#include "cli_flags.hpp"
 #include "common/error.hpp"
 #include "kernels/runner.hpp"
 #include "kernels/wcet.hpp"
@@ -294,8 +297,9 @@ int lint_file(const std::string& path, bool force_asm, const std::string& profil
   if (!entry_spec.empty()) {
     if (program.symbols.count(entry_spec) != 0) {
       entry = program.symbol(entry_spec);
-    } else {
-      entry = static_cast<std::uint32_t>(std::stoul(entry_spec, nullptr, 0));
+    } else if (!iw::cli::parse_number(entry_spec.c_str(), 0, UINT32_MAX, entry, 0)) {
+      iw::fail("--entry needs a symbol of " + path + " or an address in [0, " +
+               std::to_string(UINT32_MAX) + "], got '" + entry_spec + "'");
     }
   } else if (program.symbols.count("main") != 0) {
     entry = program.symbol("main");
@@ -339,7 +343,10 @@ int main(int argc, char** argv) {
     else if (arg == "--profile" && i + 1 < argc) profile_name = argv[++i];
     else if (arg == "--entry" && i + 1 < argc) entry_spec = argv[++i];
     else if (arg == "--mem" && i + 1 < argc) {
-      mem_bytes = std::stoul(argv[++i], nullptr, 0);
+      // rvsim addresses are 32-bit, so no image needs more than 4 GiB.
+      if (!iw::cli::flag_value(argv, i, 1, std::size_t{1} << 32, mem_bytes, 0)) {
+        return 2;
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else if (file.empty()) {
