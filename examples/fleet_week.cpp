@@ -4,13 +4,30 @@
 // seen through the shared deployed network.
 //
 // Usage: fleet_week [devices] [days] [threads]
+//
+// Each argument must be a whole positive number (tools/cli_flags.hpp);
+// anything else exits 2 with a message.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
+#include <string>
 #include <thread>
 
+#include "cli_flags.hpp"
 #include "fleet/longitudinal/runner.hpp"
 
 namespace {
+
+/// Reads positional argument `index`, when given, into `out`. Returns false
+/// (after saying why) unless it is a number in [lo, hi].
+template <typename T>
+bool positional(int argc, char** argv, int index, const char* name, T lo, T hi, T& out) {
+  if (index >= argc || iw::cli::parse_number(argv[index], lo, hi, out)) return true;
+  std::fprintf(stderr, "fleet_week: %s needs a number in [%s, %s], got '%s'\n", name,
+               std::to_string(lo).c_str(), std::to_string(hi).c_str(), argv[index]);
+  return false;
+}
 
 void print_percentiles(const char* label, const iw::fleet::FleetStats::Percentiles& p,
                        double scale, const char* unit) {
@@ -23,11 +40,17 @@ void print_percentiles(const char* label, const iw::fleet::FleetStats::Percentil
 
 int main(int argc, char** argv) {
   iw::fleet::LongitudinalConfig config;
-  config.num_devices = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 128;
-  config.days = argc > 2 ? std::atoi(argv[2]) : 7;
-  config.threads = argc > 3 ? std::atoi(argv[3])
-                            : static_cast<int>(std::thread::hardware_concurrency());
-  if (config.threads < 1) config.threads = 1;
+  config.num_devices = 128;
+  config.days = 7;
+  config.threads = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  if (argc > 4 ||
+      !positional(argc, argv, 1, "devices", std::uint64_t{1},
+                  std::numeric_limits<std::uint64_t>::max(), config.num_devices) ||
+      !positional(argc, argv, 2, "days", 1, std::numeric_limits<int>::max(), config.days) ||
+      !positional(argc, argv, 3, "threads", 1, 4096, config.threads)) {
+    std::fprintf(stderr, "usage: fleet_week [devices] [days] [threads]\n");
+    return 2;
+  }
   config.fleet_seed = 2020;
   // The percentile rows below need every device's outcome, not just the
   // streamed histograms.

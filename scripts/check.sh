@@ -3,7 +3,7 @@
 # over every assembled reference kernel, the iw_lint --wcet certification
 # gate (floor <= dynamic <= ceiling for every kernel), a determinism grep
 # over shipped sources, the iw_fleetd smoke and input checks (bad numeric
-# flags of iw_fleetd, iw_lint and the fleet bench, a checkpoint over its own
+# flags of iw_fleetd, iw_lint, the fleet bench and fleet_week, a checkpoint over its own
 # resume file), the trace/interpreter bit-identity smoke, the fleet
 # SIMD-tier bit-identity smoke (its digest pinned, in the SIMD build and in a
 # portable -DIW_SIMD=OFF build — the cross-build half of the bit-exactness
@@ -13,7 +13,7 @@
 # kernel, per-worker scratch reuse, the intrinsic packs and the
 # direct-threaded trace executor are where a stale-pointer or aliasing bug
 # would live), a ThreadSanitizer pass over the concurrent fleet/platform
-# layers, and clang-tidy when available.
+# layers and the kernel runner's compile memo, and clang-tidy when available.
 #
 # Usage: scripts/check.sh            # from the repository root
 #
@@ -102,6 +102,15 @@ for args in "--mem -1" "--mem zz" "--mem 4096x" "--entry 4x" "--entry -5"; do
   fi
 done
 ./build/tools/iw_lint --mem 0x10000 --entry 0x0 "$lint_dir/t.s" >/dev/null
+# A refused image is reported once, under one "iw_lint:" prefix.
+status=0
+./build/tools/iw_lint --mem 4 "$lint_dir/t.s" >/dev/null 2>"$lint_dir/err.txt" || status=$?
+prefixes=$(grep -o 'iw_lint:' "$lint_dir/err.txt" | wc -l)
+if [ "$status" -ne 2 ] || [ "$prefixes" -ne 1 ]; then
+  echo "FAIL: iw_lint --mem 4 exited $status with $prefixes 'iw_lint:' prefixes:"
+  cat "$lint_dir/err.txt"
+  exit 1
+fi
 rm -rf "$lint_dir"
 status=0
 ./build/bench/bench_fleet_throughput --devices 10x >/dev/null 2>&1 || status=$?
@@ -109,6 +118,15 @@ if [ "$status" -ne 2 ]; then
   echo "FAIL: bench_fleet_throughput --devices 10x exited $status, not 2"
   exit 1
 fi
+for args in "10x" "0" "12 0" "12 3 x"; do
+  status=0
+  # shellcheck disable=SC2086  # positional arguments, split on purpose
+  ./build/examples/fleet_week $args >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "FAIL: fleet_week $args exited $status, not 2"
+    exit 1
+  fi
+done
 echo "bad flags rejected; resume checkpoint left byte-identical"
 
 echo
@@ -173,11 +191,11 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ./build-ubsan/tests/test_cli_flags
 echo
-echo "== TSan pass (fleet + platform suites) =="
+echo "== TSan pass (fleet + platform suites, kernel compile memo) =="
 cmake -B build-tsan -S . -DIW_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$(nproc)" \
   --target test_platform test_fast_day test_cohort_day test_cohort_simd \
-  test_fleet test_fleet_cohort test_fleet_simd test_fleet_long
+  test_fleet test_fleet_cohort test_fleet_simd test_fleet_long test_kernel_memo
 TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
   ./build-tsan/tests/test_fleet
 TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
@@ -194,6 +212,8 @@ TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
   ./build-tsan/tests/test_fast_day
 TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
   ./build-tsan/tests/test_cohort_day
+TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
+  ./build-tsan/tests/test_kernel_memo
 
 echo
 echo "check.sh: all green"

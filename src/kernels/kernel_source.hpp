@@ -53,6 +53,8 @@ struct FixedKernelParams {
   int fork_spins = 200;
   /// Parallel kernel only: number of cluster cores (power of two, <= 8).
   int num_cores = Layout::kClusterCores;
+
+  bool operator==(const FixedKernelParams&) const = default;
 };
 
 /// Fixed-point single-core kernel for the given flavor. `layer_table` holds

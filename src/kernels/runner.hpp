@@ -5,6 +5,12 @@
 // the requested execution target, runs it to completion, and returns both the
 // network outputs (for bit-exactness checks against nn::QuantizedNetwork) and
 // the cycle/instruction counts (for the runtime and energy tables).
+//
+// Compile once, execute per call: codegen, assembly and the bounds analysis
+// run once per distinct kernel image and are memoized for the process
+// (thread-safe). Weights and inputs are data written after the load; every
+// call still builds a fresh Machine or Cluster and runs with the
+// verify_on_load gate armed.
 #pragma once
 
 #include <cstdint>
@@ -88,6 +94,17 @@ KernelRunResult run_simd_mlp(const nn::QuantizedNetwork16& net,
 KernelRunResult run_simd_mlp_parallel(const nn::QuantizedNetwork16& net,
                                       std::span<const std::int16_t> input,
                                       int num_cores = 8);
+
+/// The compile memo behind the run_*_mlp* calls: images kept, and calls
+/// that reused one (hits) or compiled and analyzed their own (misses).
+struct KernelMemoStats {
+  std::size_t images = 0;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+};
+KernelMemoStats kernel_memo_stats();
+/// Drops every kept image and zeroes the counters.
+void clear_kernel_memo();
 
 /// One assembled kernel image plus the timing profile it is meant to execute
 /// on — the unit `tools/iw_lint --kernels` and scripts/check.sh feed to the

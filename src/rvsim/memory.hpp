@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -28,7 +29,7 @@ class Memory {
 
   explicit Memory(std::size_t size_bytes);
 
-  std::size_t size() const { return bytes_.size(); }
+  std::size_t size() const { return size_; }
 
   std::uint8_t load8(std::uint32_t addr) const {
     check(addr, 1);
@@ -37,13 +38,13 @@ class Memory {
   std::uint16_t load16(std::uint32_t addr) const {
     check(addr, 2);
     std::uint16_t v;
-    std::memcpy(&v, bytes_.data() + addr, 2);
+    std::memcpy(&v, bytes_.get() + addr, 2);
     return v;
   }
   std::uint32_t load32(std::uint32_t addr) const {
     check(addr, 4);
     std::uint32_t v;
-    std::memcpy(&v, bytes_.data() + addr, 4);
+    std::memcpy(&v, bytes_.get() + addr, 4);
     return v;
   }
   void store8(std::uint32_t addr, std::uint8_t value) {
@@ -53,12 +54,12 @@ class Memory {
   }
   void store16(std::uint32_t addr, std::uint16_t value) {
     check(addr, 2);
-    std::memcpy(bytes_.data() + addr, &value, 2);
+    std::memcpy(bytes_.get() + addr, &value, 2);
     notify_write(addr, 2);
   }
   void store32(std::uint32_t addr, std::uint32_t value) {
     check(addr, 4);
-    std::memcpy(bytes_.data() + addr, &value, 4);
+    std::memcpy(bytes_.get() + addr, &value, 4);
     notify_write(addr, 4);
   }
 
@@ -86,7 +87,7 @@ class Memory {
   };
 
   void check(std::uint32_t addr, std::uint32_t size) const {
-    if (static_cast<std::uint64_t>(addr) + size > bytes_.size()) {
+    if (static_cast<std::uint64_t>(addr) + size > size_) {
       fail("Memory access out of bounds");
     }
     if (addr % size != 0) fail("Misaligned memory access");
@@ -94,7 +95,7 @@ class Memory {
   /// Word-aligned variant for the bulk word accessors.
   void check_words(std::uint32_t addr, std::size_t count) const {
     if (static_cast<std::uint64_t>(addr) + 4 * static_cast<std::uint64_t>(count) >
-        bytes_.size()) {
+        size_) {
       fail("Memory access out of bounds");
     }
     if (addr % 4 != 0) fail("Misaligned memory access");
@@ -106,7 +107,14 @@ class Memory {
   }
   void dispatch_write(std::uint32_t addr, std::uint32_t len);
 
-  std::vector<std::uint8_t> bytes_;
+  /// Releases the zero-filled mapping behind bytes_.
+  struct Unmap {
+    std::size_t size;
+    void operator()(std::uint8_t* bytes) const;
+  };
+
+  std::size_t size_ = 0;
+  std::unique_ptr<std::uint8_t[], Unmap> bytes_;
   std::vector<Watch> watches_;
   std::uint32_t watch_hi_ = 0;  // max over watches_[i].hi
 };

@@ -35,6 +35,8 @@ class InstructionHistogram {
 
   void clear() { counts_.fill(0); }
 
+  bool operator==(const InstructionHistogram&) const = default;
+
  private:
   std::array<std::uint64_t, kOpCount> counts_{};  // indexed by Op
 };

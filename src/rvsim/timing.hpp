@@ -57,6 +57,8 @@ struct TimingProfile {
   int base_cost(OpClass cls) const;
   /// True when the profile can legally execute the opcode.
   bool supports(Op op) const;
+
+  bool operator==(const TimingProfile&) const = default;
 };
 
 /// Per-opcode cost and support tables resolved from a profile. Built once per

@@ -78,7 +78,7 @@ iw::rv::TimingProfile profile_by_name(const std::string& name) {
   }
   if (name == "ibex") return iw::rv::ibex();
   if (name == "ri5cy") return iw::rv::ri5cy();
-  iw::fail("iw_lint: unknown profile '" + name + "'");
+  iw::fail("unknown profile '" + name + "'");
 }
 
 AnalysisReport analyze_image(const iw::asmx::Program& program, std::uint32_t entry,
@@ -278,17 +278,17 @@ int lint_file(const std::string& path, bool force_asm, const std::string& profil
   iw::asmx::Program program;
   if (force_asm || looks_like_asm(path)) {
     std::ifstream in(path);
-    if (!in) iw::fail("iw_lint: cannot open " + path);
+    if (!in) iw::fail("cannot open " + path);
     std::ostringstream source;
     source << in.rdbuf();
     program = iw::asmx::assemble(source.str());
   } else {
     std::ifstream in(path, std::ios::binary);
-    if (!in) iw::fail("iw_lint: cannot open " + path);
+    if (!in) iw::fail("cannot open " + path);
     std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
                             std::istreambuf_iterator<char>());
     iw::ensure(bytes.size() % 4 == 0,
-               "iw_lint: raw image size must be a multiple of 4 bytes");
+               "raw image size must be a multiple of 4 bytes");
     program.words.resize(bytes.size() / 4);
     std::memcpy(program.words.data(), bytes.data(), bytes.size());
   }
@@ -309,7 +309,7 @@ int lint_file(const std::string& path, bool force_asm, const std::string& profil
     mem_bytes = iw::kernels::Layout::kMemBytes;
   }
   iw::ensure(program.end_address() <= mem_bytes,
-             "iw_lint: image does not fit the memory size (use --mem)");
+             "image does not fit the memory size (use --mem)");
 
   const AnalysisReport report =
       analyze_image(program, entry, profile, mem_bytes, strict_indirect);
