@@ -12,8 +12,8 @@
 //           each shard advances in lockstep through the structure-of-arrays
 //           cohort kernel, sharing segment tables, the detection-gate window
 //           and policy objects across the shard
-// then sweeps the runner across every SIMD tier this build + host can run
-// (off / array / sse2 / avx2) at one thread. Reports device-days/sec, the
+// then sweeps the runner across the SIMD tiers this build + host can run
+// (off, and avx2 where usable) at one thread. Reports device-days/sec, the
 // fast-vs-engine / cohort-vs-fast / simd-vs-scalar speedups, and the
 // runner's thread scaling; cross-checks the determinism invariants in-run
 // (per-device FleetStats byte-identical on every path, thread count and SIMD
@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <limits>
 #include <string>
 #include <thread>
@@ -61,9 +62,8 @@ std::uint64_t fnv1a(const std::string& s) {
 
 std::vector<iw::simd::Tier> runnable_tiers() {
   std::vector<iw::simd::Tier> tiers = {iw::simd::Tier::kOff};
-  for (iw::simd::Tier t : {iw::simd::Tier::kArray, iw::simd::Tier::kSse2,
-                           iw::simd::Tier::kAvx2}) {
-    if (iw::simd::tier_usable(t)) tiers.push_back(t);
+  if (iw::simd::tier_usable(iw::simd::Tier::kAvx2)) {
+    tiers.push_back(iw::simd::Tier::kAvx2);
   }
   return tiers;
 }
@@ -104,9 +104,7 @@ Run run_cohort(iw::fleet::LongitudinalConfig config, int threads) {
   return run;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_bench(int argc, char** argv) {
   constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
   using iw::cli::flag_value;
   iw::fleet::LongitudinalConfig config;
@@ -275,4 +273,15 @@ int main(int argc, char** argv) {
                         " here)");
   json.write();
   return deterministic && tiers_identical ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_bench(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_fleet_throughput: %s\n", e.what());
+    return 1;
+  }
 }

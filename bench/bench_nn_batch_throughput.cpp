@@ -1,17 +1,14 @@
 // Batched vs per-sample NN inference throughput.
 //
 // Measures inferences/sec for the per-sample reference paths (Network::infer,
-// QuantizedNetwork::infer_fixed, QuantizedNetwork16::infer_fixed) against the
-// batch engines (FloatBatch / FixedBatch / Fixed16Batch) on the paper's
-// Network A and Network B, at batch sizes 1/8/64/512. The batch engines are
-// bit-exact with the per-sample paths, so the speedup is pure engineering:
-// no per-call allocation, weight rows streamed once per tile instead of once
-// per sample, contiguous inner loops over samples. Also reports the fleet's
-// label-table gather against batch inference on the same test-set picks, and
-// the SIMD tier axis for the 16-bit path (Fixed16Batch re-measured at every
-// runnable tier with a byte-identity check against the per-sample oracle —
-// the process exits non-zero if any tier's outputs, or any gathered label,
-// differ).
+// QuantizedNetwork::infer_fixed) against the batch engines (FloatBatch /
+// FixedBatch) on the paper's Network A and Network B, at batch sizes
+// 1/8/64/512. The batch engines are bit-exact with the per-sample paths, so
+// the speedup is pure engineering: no per-call allocation, weight rows
+// streamed once per tile instead of once per sample, contiguous inner loops
+// over samples. Also reports the fleet's label-table gather against batch
+// inference on the same test-set picks (the process exits non-zero if any
+// gathered label differs).
 // Results land in BENCH_nn_batch_throughput.json.
 #include <algorithm>
 #include <chrono>
@@ -32,7 +29,7 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 /// Minimum wall time per timed window; long enough to dominate timer noise,
-/// short enough that the full grid (2 nets x 3 paths x 4 batch sizes x 2
+/// short enough that the full grid (2 nets x 2 paths x 4 batch sizes x 2
 /// modes) stays around a minute.
 constexpr double kMinSeconds = 0.15;
 /// Timed windows per measurement; the best window is reported, which filters
@@ -68,18 +65,15 @@ struct NetInputs {
   std::vector<const float*> row_ptrs;
   std::vector<float> packed_f;
   std::vector<std::int32_t> packed_q32;
-  std::vector<std::int16_t> packed_q16;
 };
 
 NetInputs make_inputs(const iw::nn::Network& net,
-                      const iw::nn::QuantizedNetwork& qn,
-                      const iw::nn::QuantizedNetwork16& q16, iw::Rng& rng) {
+                      const iw::nn::QuantizedNetwork& qn, iw::Rng& rng) {
   NetInputs in;
   const std::size_t width = net.num_inputs();
   in.rows.resize(kMaxBatch);
   in.packed_f.resize(kMaxBatch * width);
   in.packed_q32.resize(kMaxBatch * width);
-  in.packed_q16.resize(kMaxBatch * width);
   for (std::size_t s = 0; s < kMaxBatch; ++s) {
     auto& row = in.rows[s];
     row.resize(width);
@@ -88,8 +82,6 @@ NetInputs make_inputs(const iw::nn::Network& net,
     std::copy(row.begin(), row.end(), in.packed_f.begin() + s * width);
     const auto q = qn.quantize_input(row);
     std::copy(q.begin(), q.end(), in.packed_q32.begin() + s * width);
-    const auto h = q16.quantize_input(row);
-    std::copy(h.begin(), h.end(), in.packed_q16.begin() + s * width);
   }
   return in;
 }
@@ -97,32 +89,18 @@ NetInputs make_inputs(const iw::nn::Network& net,
 /// Keeps the optimizer honest: every measured loop folds its outputs in here.
 volatile double g_sink = 0.0;
 
-std::vector<iw::simd::Tier> runnable_tiers() {
-  std::vector<iw::simd::Tier> tiers = {iw::simd::Tier::kOff};
-  for (iw::simd::Tier t : {iw::simd::Tier::kArray, iw::simd::Tier::kSse2,
-                           iw::simd::Tier::kAvx2}) {
-    if (iw::simd::tier_usable(t)) tiers.push_back(t);
-  }
-  return tiers;
-}
-
-/// Returns false when any SIMD tier's Fixed16Batch outputs differ from the
-/// per-sample oracle (they never should: the tiers are bit-exact).
-bool bench_network(const char* tag, const iw::nn::Network& net,
+void bench_network(const char* tag, const iw::nn::Network& net,
                    iw::bench::JsonReport& json) {
   const iw::nn::QuantizedNetwork qn = iw::nn::QuantizedNetwork::from(net);
-  const iw::nn::QuantizedNetwork16 q16 = iw::nn::QuantizedNetwork16::from(net);
   iw::Rng rng(0xbe5c0000u + static_cast<unsigned>(tag[0]));
-  const NetInputs in = make_inputs(net, qn, q16, rng);
+  const NetInputs in = make_inputs(net, qn, rng);
   const std::size_t width = net.num_inputs();
   const std::size_t n_out = net.num_outputs();
 
   iw::nn::FloatBatch fb(net);
   iw::nn::FixedBatch xb(qn);
-  iw::nn::Fixed16Batch hb(q16);
   std::vector<float> out_f(kMaxBatch * n_out);
   std::vector<std::int32_t> out_q32(kMaxBatch * n_out);
-  std::vector<std::int16_t> out_q16(kMaxBatch * n_out);
 
   // Per-sample reference rates (batch size is irrelevant: one call per row).
   const double ps_float = measure_ips(kMaxBatch, [&] {
@@ -138,24 +116,14 @@ bool bench_network(const char* tag, const iw::nn::Network& net,
     }
     g_sink = static_cast<double>(acc);
   });
-  const double ps_q16 = measure_ips(kMaxBatch, [&] {
-    std::int64_t acc = 0;
-    for (std::size_t s = 0; s < kMaxBatch; ++s) {
-      acc += q16.infer_fixed(std::span<const std::int16_t>(
-          in.packed_q16.data() + s * width, width))[0];
-    }
-    g_sink = static_cast<double>(acc);
-  });
 
   std::printf("\n%s: per-sample baseline (inferences/sec)\n", tag);
-  std::printf("  float %12.0f   q32 %12.0f   q16 %12.0f\n", ps_float, ps_q32,
-              ps_q16);
+  std::printf("  float %12.0f   q32 %12.0f\n", ps_float, ps_q32);
   json.add(std::string(tag) + "_persample_float_ips", ps_float);
   json.add(std::string(tag) + "_persample_q32_ips", ps_q32);
-  json.add(std::string(tag) + "_persample_q16_ips", ps_q16);
 
-  std::printf("  %5s %12s %7s %12s %7s %12s %7s\n", "batch", "float_ips", "x",
-              "q32_ips", "x", "q16_ips", "x");
+  std::printf("  %5s %12s %7s %12s %7s\n", "batch", "float_ips", "x",
+              "q32_ips", "x");
   for (const std::size_t b : kBatchSizes) {
     const double bf = measure_ips(b, [&] {
       fb.infer(std::span<const float>(in.packed_f.data(), b * width),
@@ -167,61 +135,14 @@ bool bench_network(const char* tag, const iw::nn::Network& net,
                      std::span<std::int32_t>(out_q32.data(), b * n_out));
       g_sink = static_cast<double>(out_q32[0]);
     });
-    const double bq16 = measure_ips(b, [&] {
-      hb.infer_fixed(std::span<const std::int16_t>(in.packed_q16.data(), b * width),
-                     std::span<std::int16_t>(out_q16.data(), b * n_out));
-      g_sink = static_cast<double>(out_q16[0]);
-    });
-    std::printf("  %5zu %12.0f %6.2fx %12.0f %6.2fx %12.0f %6.2fx\n", b, bf,
-                bf / ps_float, bq32, bq32 / ps_q32, bq16, bq16 / ps_q16);
+    std::printf("  %5zu %12.0f %6.2fx %12.0f %6.2fx\n", b, bf, bf / ps_float,
+                bq32, bq32 / ps_q32);
     const std::string prefix = std::string(tag) + "_b" + std::to_string(b);
     json.add(prefix + "_float_ips", bf);
     json.add(prefix + "_float_speedup", bf / ps_float);
     json.add(prefix + "_q32_ips", bq32);
     json.add(prefix + "_q32_speedup", bq32 / ps_q32);
-    json.add(prefix + "_q16_ips", bq16);
-    json.add(prefix + "_q16_speedup", bq16 / ps_q16);
   }
-
-  // SIMD tier axis for the 16-bit path: re-measure the full-tile batch at
-  // every runnable tier in this one process (override_tier is the test hook
-  // the cohort kernel uses for the same purpose), byte-comparing each tier's
-  // outputs against the per-sample oracle computed above the batch engines.
-  std::vector<std::int16_t> ref(kMaxBatch * n_out);
-  for (std::size_t s = 0; s < kMaxBatch; ++s) {
-    const auto out = q16.infer_fixed(std::span<const std::int16_t>(
-        in.packed_q16.data() + s * width, width));
-    std::copy(out.begin(), out.end(), ref.begin() + s * n_out);
-  }
-  std::printf("  q16 SIMD tier axis (batch %zu)\n", kMaxBatch);
-  bool tiers_ok = true;
-  double ips_off = 0.0;
-  double ips_active = 0.0;
-  for (const iw::simd::Tier tier : runnable_tiers()) {
-    iw::simd::override_tier(tier);
-    const double ips = measure_ips(kMaxBatch, [&] {
-      hb.infer_fixed(
-          std::span<const std::int16_t>(in.packed_q16.data(), kMaxBatch * width),
-          std::span<std::int16_t>(out_q16.data(), kMaxBatch * n_out));
-      g_sink = static_cast<double>(out_q16[0]);
-    });
-    const bool same = std::equal(out_q16.begin(), out_q16.end(), ref.begin());
-    tiers_ok = tiers_ok && same;
-    if (tier == iw::simd::Tier::kOff) ips_off = ips;
-    if (tier == iw::simd::active_tier()) ips_active = ips;
-    std::printf("  %5s %12.0f %6.2fx vs off   %s\n", iw::simd::tier_name(tier),
-                ips, ips_off > 0.0 ? ips / ips_off : 0.0,
-                same ? "matches per-sample oracle" : "MISMATCH");
-    json.add(std::string(tag) + "_q16_tier_" + iw::simd::tier_name(tier) +
-                 "_ips",
-             ips);
-  }
-  iw::simd::clear_override();
-  json.add(std::string(tag) + "_q16_simd_vs_scalar_speedup",
-           ips_off > 0.0 ? ips_active / ips_off : 0.0);
-  json.add(std::string(tag) + "_q16_identical_across_simd_tiers",
-           tiers_ok ? 1.0 : 0.0);
-  return tiers_ok;
 }
 
 /// Fleet classification: every detection window the fleet classifies is a
@@ -286,13 +207,13 @@ int main() {
 
   iw::Rng rng_a(42);
   const iw::nn::Network net_a = iw::nn::make_network_a(rng_a);
-  bool ok = bench_network("netA", net_a, json);
+  bench_network("netA", net_a, json);
 
   iw::Rng rng_b(47);
   const iw::nn::Network net_b = iw::nn::make_network_b(rng_b);
-  ok = bench_network("netB", net_b, json) && ok;
+  bench_network("netB", net_b, json);
 
-  ok = bench_fleet_classify(json) && ok;
+  const bool ok = bench_fleet_classify(json);
   json.add("peak_rss_bytes", static_cast<double>(iw::hostinfo::peak_rss_bytes()));
   json.write();
   return ok ? 0 : 1;

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <exception>
 #include <limits>
 #include <string>
 #include <thread>
@@ -36,9 +37,7 @@ void print_percentiles(const char* label, const iw::fleet::FleetStats::Percentil
               scale * p.p95, unit);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_week(int argc, char** argv) {
   iw::fleet::LongitudinalConfig config;
   config.num_devices = 128;
   config.days = 7;
@@ -124,4 +123,15 @@ int main(int argc, char** argv) {
               "bit-for-bit; per-device RNG substreams make the fleet independent\n"
               "of worker scheduling.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run_week(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "fleet_week: %s\n", e.what());
+    return 1;
+  }
 }

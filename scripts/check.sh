@@ -3,12 +3,12 @@
 # over every assembled reference kernel, the iw_lint --wcet certification
 # gate (floor <= dynamic <= ceiling for every kernel), a determinism grep
 # over shipped sources, the iw_fleetd smoke and input checks (bad numeric
-# flags of iw_fleetd, iw_lint, the fleet bench and fleet_week, a checkpoint over its own
-# resume file), the trace/interpreter bit-identity smoke, the fleet
-# SIMD-tier bit-identity smoke (its digest pinned, in the SIMD build and in a
-# portable -DIW_SIMD=OFF build — the cross-build half of the bit-exactness
-# contract), an
-# UndefinedBehaviorSanitizer pass over the platform/fleet suites, the
+# flags of iw_fleetd, iw_lint, the fleet bench and fleet_week, a checkpoint
+# over its own resume file, an IW_SIMD value that names no tier), the
+# trace/interpreter bit-identity smoke, the fleet SIMD-tier bit-identity
+# smoke (its digest pinned, in the SIMD build and in a portable
+# -DIW_SIMD=OFF build — the cross-build half of the bit-exactness
+# contract), an UndefinedBehaviorSanitizer pass over the platform/fleet suites, the
 # SIMD parity suites and the superblock-trace suite (the fast-path day
 # kernel, per-worker scratch reuse, the intrinsic packs and the
 # direct-threaded trace executor are where a stale-pointer or aliasing bug
@@ -22,6 +22,11 @@
 # (IW_SANITIZE=thread). All are incremental across runs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# The digest of bench_fleet_throughput --smoke (64-device x 1-day per-device
+# rows) is pinned: a change that moves any simulated bit must re-pin it on
+# purpose.
+smoke_digest=a412842da30e4534
 
 echo "== tier-1 gate (plain build) =="
 cmake -B build -S . >/dev/null
@@ -118,6 +123,22 @@ if [ "$status" -ne 2 ]; then
   echo "FAIL: bench_fleet_throughput --devices 10x exited $status, not 2"
   exit 1
 fi
+# IW_SIMD accepts off and avx2; any other value is refused, not widened.
+simd_dir=$(mktemp -d)
+status=0
+IW_SIMD=sse2 ./build/tools/iw_fleetd --smoke >/dev/null 2>"$simd_dir/err.txt" || status=$?
+if [ "$status" -eq 0 ] || ! grep -q 'IW_SIMD=sse2 is not a SIMD tier; accepted: off, avx2' \
+    "$simd_dir/err.txt"; then
+  echo "FAIL: IW_SIMD=sse2 iw_fleetd --smoke exited $status:"
+  cat "$simd_dir/err.txt"
+  exit 1
+fi
+IW_SIMD=off ./build/bench/bench_fleet_throughput --smoke >"$simd_dir/off.txt"
+if ! grep -q "smoke digest: $smoke_digest" "$simd_dir/off.txt"; then
+  echo "FAIL: IW_SIMD=off fleet smoke digest is not the pinned $smoke_digest"
+  exit 1
+fi
+rm -rf "$simd_dir"
 for args in "10x" "0" "12 0" "12 3 x"; do
   status=0
   # shellcheck disable=SC2086  # positional arguments, split on purpose
@@ -136,9 +157,6 @@ echo "== trace engine smoke (interpreter bit-identity on all targets) =="
 echo
 echo "== fleet SIMD smoke (every day path and dispatch tier, one build) =="
 ./build/bench/bench_fleet_throughput --smoke | tee /tmp/iw_smoke_simd.txt
-# The digest of the 64-device x 1-day per-device rows is pinned: a change
-# that moves any simulated bit must re-pin it on purpose.
-smoke_digest=a412842da30e4534
 if ! grep -q "smoke digest: $smoke_digest" /tmp/iw_smoke_simd.txt; then
   echo "FAIL: fleet smoke digest is not the pinned $smoke_digest"
   exit 1
@@ -147,7 +165,12 @@ fi
 echo
 echo "== portable build (-DIW_SIMD=OFF) must reproduce the same bytes =="
 cmake -B build-nosimd -S . -DIW_SIMD=OFF >/dev/null
-cmake --build build-nosimd -j "$(nproc)" --target bench_fleet_throughput
+cmake --build build-nosimd -j "$(nproc)" \
+  --target bench_fleet_throughput test_cohort_simd test_fleet_simd
+# Without the avx2 tier the tier-parity tests skip or compare off only;
+# they must not fail.
+./build-nosimd/tests/test_cohort_simd
+./build-nosimd/tests/test_fleet_simd
 ./build-nosimd/bench/bench_fleet_throughput --smoke | tee /tmp/iw_smoke_nosimd.txt
 if ! grep -q "smoke digest: $smoke_digest" /tmp/iw_smoke_nosimd.txt; then
   echo "FAIL: portable build's smoke digest is not the pinned $smoke_digest"

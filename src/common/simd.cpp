@@ -3,13 +3,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include "common/error.hpp"
 
 // Build facts (what kernels exist) are decided by CMake: IW_SIMD_ENABLED is
 // defined tree-wide when the IW_SIMD option is ON, and IW_SIMD_HAVE_AVX2 when
-// the compiler accepted -mavx2 for the AVX2 kernel TUs. SSE2 presence is the
-// x86-64 baseline, visible to this TU directly as __SSE2__.
+// the compiler accepted -mavx2 for the AVX2 kernel TU.
 
 namespace iw::simd {
 
@@ -18,27 +18,14 @@ namespace {
 // -1 = no override; otherwise the forced tier.
 std::atomic<int> g_override{-1};
 
-Tier clamp_to_usable(Tier cap) {
-  for (int t = static_cast<int>(cap); t > static_cast<int>(Tier::kOff); --t) {
-    if (tier_usable(static_cast<Tier>(t))) return static_cast<Tier>(t);
-  }
-  return Tier::kOff;
-}
-
 Tier detect_tier() {
-  Tier cap = Tier::kAvx2;
   if (const char* env = std::getenv("IW_SIMD")) {
     if (std::strcmp(env, "off") == 0) return Tier::kOff;
-    if (std::strcmp(env, "array") == 0) {
-      cap = Tier::kArray;
-    } else if (std::strcmp(env, "sse2") == 0) {
-      cap = Tier::kSse2;
-    } else if (std::strcmp(env, "avx2") == 0) {
-      cap = Tier::kAvx2;
+    if (std::strcmp(env, "avx2") != 0) {
+      fail(std::string("IW_SIMD=") + env + " is not a SIMD tier; accepted: off, avx2");
     }
-    // Any other value (including "on" / "auto") selects the widest tier.
   }
-  return clamp_to_usable(cap);
+  return tier_usable(Tier::kAvx2) ? Tier::kAvx2 : Tier::kOff;
 }
 
 }  // namespace
@@ -47,56 +34,19 @@ const char* tier_name(Tier tier) {
   switch (tier) {
     case Tier::kOff:
       return "off";
-    case Tier::kArray:
-      return "array";
-    case Tier::kSse2:
-      return "sse2";
     case Tier::kAvx2:
       return "avx2";
   }
   return "?";
 }
 
-bool tier_compiled(Tier tier) {
-  switch (tier) {
-    case Tier::kOff:
-      return true;
-    case Tier::kArray:
-#if defined(IW_SIMD_ENABLED)
-      return true;
-#else
-      return false;
-#endif
-    case Tier::kSse2:
-#if defined(IW_SIMD_ENABLED) && defined(__SSE2__)
-      return true;
-#else
-      return false;
-#endif
-    case Tier::kAvx2:
-#if defined(IW_SIMD_ENABLED) && defined(IW_SIMD_HAVE_AVX2)
-      return true;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
 bool tier_usable(Tier tier) {
-  if (!tier_compiled(tier)) return false;
   switch (tier) {
     case Tier::kOff:
-    case Tier::kArray:
       return true;
-    case Tier::kSse2:
-#if defined(__SSE2__)
-      return true;  // x86-64 baseline: compiled in implies the host has it
-#else
-      return false;
-#endif
     case Tier::kAvx2:
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#if defined(IW_SIMD_ENABLED) && defined(IW_SIMD_HAVE_AVX2) && defined(__GNUC__) && \
+    (defined(__x86_64__) || defined(__i386__))
       return __builtin_cpu_supports("avx2") != 0;
 #else
       return false;

@@ -17,265 +17,45 @@
 //     and add, and the kernel TUs are compiled with -ffp-contract=off so the
 //     compiler cannot contract them behind our back (see DESIGN.md §15).
 //
-// Three pack types implement the same operation set:
-//   * f64xn<W>  — scalar array fallback, portable to any target,
-//   * f64x2     — SSE2 __m128d (baseline on x86-64),
-//   * f64x4     — AVX2 __m256d (only defined in TUs compiled with -mavx2).
+// One pack type implements that operation set: f64x4, the AVX2 __m256d
+// (only defined in TUs compiled with -mavx2).
 //
-// Which kernels exist in a build is a compile-time fact (tier_compiled);
-// which of those the host can run is probed once at startup (tier_usable);
-// what actually runs is active_tier(): the widest usable tier, clamped by
-// the IW_SIMD environment variable (off | array | sse2 | avx2) and by
-// override_tier(), the test hook that lets one process compare tiers.
+// Whether a tier can run is the build (the AVX2 kernel TU was compiled) and
+// the host CPU together (tier_usable); what actually runs is active_tier(): avx2 when usable, clamped by the
+// IW_SIMD environment variable (off | avx2) and by override_tier(), the test
+// hook that lets one process compare tiers.
 #pragma once
 
 #include <cstdint>
 
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 #if defined(__AVX2__)
 #include <immintrin.h>
 #endif
 
 namespace iw::simd {
 
-/// Execution tiers, ordered from "no explicit SIMD" to widest. kOff runs the
-/// pre-SIMD scalar kernels unchanged; kArray runs the wrapper kernels on the
-/// scalar-array pack (the portability tier, and proof the kernel itself is
-/// lane-exact); kSse2/kAvx2 run the intrinsic packs.
-enum class Tier : int { kOff = 0, kArray = 1, kSse2 = 2, kAvx2 = 3 };
+/// Execution tiers. kOff runs the scalar kernels unchanged; kAvx2 runs the
+/// wrapper kernels on the AVX2 pack.
+enum class Tier : int { kOff = 0, kAvx2 = 1 };
 
-/// Human-readable tier name ("off", "array", "sse2", "avx2").
+/// Human-readable tier name ("off", "avx2").
 const char* tier_name(Tier tier);
 
 /// True when this build contains kernels for `tier` (CMake IW_SIMD plus
-/// compiler/architecture support decide at build time).
-bool tier_compiled(Tier tier);
-
-/// True when `tier` is compiled in and the host CPU can execute it.
+/// compiler/architecture support decide at build time) and the host CPU can
+/// execute them. kOff is always usable.
 bool tier_usable(Tier tier);
 
-/// The tier the dispatched kernels run: the widest usable tier, clamped by
-/// the IW_SIMD environment variable and any override_tier() in effect.
-/// Thread-safe; the environment is read once.
+/// The tier the dispatched kernels run: avx2 when usable, else off, clamped
+/// by the IW_SIMD environment variable and any override_tier() in effect.
+/// Thread-safe; the environment is read once. Throws iw::Error naming the
+/// accepted values when IW_SIMD is set to anything but "off" or "avx2".
 Tier active_tier();
 
 /// Test hook: forces active_tier() to `tier` (which must be kOff or usable)
 /// until clear_override(). Not for concurrent use with running kernels.
 void override_tier(Tier tier);
 void clear_override();
-
-// ---------------------------------------------------------------------------
-// Scalar-array pack: the portable fallback. Every operation is the scalar
-// expression per lane, so it is trivially bit-exact with the scalar kernel;
-// the intrinsic packs below must match *it*.
-// ---------------------------------------------------------------------------
-
-template <int W>
-struct f64xn {
-  static constexpr int kWidth = W;
-  double v[W];
-
-  struct Mask {
-    bool m[W];
-  };
-
-  static f64xn load(const double* p) {
-    f64xn r;
-    for (int i = 0; i < W; ++i) r.v[i] = p[i];
-    return r;
-  }
-  static void store(double* p, f64xn a) {
-    for (int i = 0; i < W; ++i) p[i] = a.v[i];
-  }
-  static f64xn broadcast(double x) {
-    f64xn r;
-    for (int i = 0; i < W; ++i) r.v[i] = x;
-    return r;
-  }
-  friend f64xn operator+(f64xn a, f64xn b) {
-    f64xn r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] + b.v[i];
-    return r;
-  }
-  friend f64xn operator-(f64xn a, f64xn b) {
-    f64xn r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] - b.v[i];
-    return r;
-  }
-  friend f64xn operator*(f64xn a, f64xn b) {
-    f64xn r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] * b.v[i];
-    return r;
-  }
-  friend f64xn operator/(f64xn a, f64xn b) {
-    f64xn r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] / b.v[i];
-    return r;
-  }
-  /// std::min(a, b) per lane (ties return `a`, exactly like std::min).
-  static f64xn stdmin(f64xn a, f64xn b) {
-    f64xn r;
-    for (int i = 0; i < W; ++i) r.v[i] = b.v[i] < a.v[i] ? b.v[i] : a.v[i];
-    return r;
-  }
-  static Mask lt(f64xn a, f64xn b) {
-    Mask r;
-    for (int i = 0; i < W; ++i) r.m[i] = a.v[i] < b.v[i];
-    return r;
-  }
-  static Mask le(f64xn a, f64xn b) {
-    Mask r;
-    for (int i = 0; i < W; ++i) r.m[i] = a.v[i] <= b.v[i];
-    return r;
-  }
-  static Mask gt(f64xn a, f64xn b) {
-    Mask r;
-    for (int i = 0; i < W; ++i) r.m[i] = a.v[i] > b.v[i];
-    return r;
-  }
-  static Mask ge(f64xn a, f64xn b) {
-    Mask r;
-    for (int i = 0; i < W; ++i) r.m[i] = a.v[i] >= b.v[i];
-    return r;
-  }
-  static Mask ne(f64xn a, f64xn b) {
-    Mask r;
-    for (int i = 0; i < W; ++i) r.m[i] = a.v[i] != b.v[i];
-    return r;
-  }
-  static Mask mask_and(Mask a, Mask b) {
-    Mask r;
-    for (int i = 0; i < W; ++i) r.m[i] = a.m[i] && b.m[i];
-    return r;
-  }
-  /// Lane bitmask (bit i set iff lane i's mask is set).
-  static unsigned mask_bits(Mask a) {
-    unsigned bits = 0;
-    for (int i = 0; i < W; ++i) bits |= a.m[i] ? (1u << i) : 0u;
-    return bits;
-  }
-  static Mask mask_from_bits(unsigned bits) {
-    Mask r;
-    for (int i = 0; i < W; ++i) r.m[i] = (bits & (1u << i)) != 0;
-    return r;
-  }
-  /// a where the mask is set, b elsewhere — exact bits, no recomputation.
-  static f64xn select(Mask m, f64xn a, f64xn b) {
-    f64xn r;
-    for (int i = 0; i < W; ++i) r.v[i] = m.m[i] ? a.v[i] : b.v[i];
-    return r;
-  }
-  /// a & ~b per lane.
-  static Mask mask_andnot(Mask a, Mask b) {
-    Mask r;
-    for (int i = 0; i < W; ++i) r.m[i] = a.m[i] && !b.m[i];
-    return r;
-  }
-
-  // Unsigned-64 companion pack for the kernels' stream counters (sequence
-  // numbers, attempt/completion tallies). Integer adds are exact, so these
-  // are bit-exact with the scalar per-lane updates by construction.
-  struct U {
-    std::uint64_t v[W];
-  };
-
-  static U uload(const std::uint64_t* p) {
-    U r;
-    for (int i = 0; i < W; ++i) r.v[i] = p[i];
-    return r;
-  }
-  static void ustore(std::uint64_t* p, U a) {
-    for (int i = 0; i < W; ++i) p[i] = a.v[i];
-  }
-  /// a + 1 on every lane.
-  static U uincr(U a) {
-    U r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] + 1u;
-    return r;
-  }
-  /// a + 1 on the mask's lanes, a elsewhere.
-  static U uincr(U a, Mask m) {
-    U r;
-    for (int i = 0; i < W; ++i) r.v[i] = a.v[i] + (m.m[i] ? 1u : 0u);
-    return r;
-  }
-  /// a's lanes where the mask is set, b's elsewhere.
-  static U uselect(Mask m, U a, U b) {
-    U r;
-    for (int i = 0; i < W; ++i) r.v[i] = m.m[i] ? a.v[i] : b.v[i];
-    return r;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// SSE2 pack (baseline on x86-64). Compare masks are all-ones/all-zeros
-// doubles, so bitwise select merges exact lane bits.
-// ---------------------------------------------------------------------------
-
-#if defined(__SSE2__)
-struct f64x2 {
-  static constexpr int kWidth = 2;
-  __m128d v;
-
-  struct Mask {
-    __m128d m;
-  };
-
-  static f64x2 load(const double* p) { return {_mm_loadu_pd(p)}; }
-  static void store(double* p, f64x2 a) { _mm_storeu_pd(p, a.v); }
-  static f64x2 broadcast(double x) { return {_mm_set1_pd(x)}; }
-  friend f64x2 operator+(f64x2 a, f64x2 b) { return {_mm_add_pd(a.v, b.v)}; }
-  friend f64x2 operator-(f64x2 a, f64x2 b) { return {_mm_sub_pd(a.v, b.v)}; }
-  friend f64x2 operator*(f64x2 a, f64x2 b) { return {_mm_mul_pd(a.v, b.v)}; }
-  friend f64x2 operator/(f64x2 a, f64x2 b) { return {_mm_div_pd(a.v, b.v)}; }
-  /// MINPD returns its second operand on ties; std::min(a, b) returns `a`
-  /// unless b < a, so the operands swap.
-  static f64x2 stdmin(f64x2 a, f64x2 b) { return {_mm_min_pd(b.v, a.v)}; }
-  static Mask lt(f64x2 a, f64x2 b) { return {_mm_cmplt_pd(a.v, b.v)}; }
-  static Mask le(f64x2 a, f64x2 b) { return {_mm_cmple_pd(a.v, b.v)}; }
-  static Mask gt(f64x2 a, f64x2 b) { return {_mm_cmpgt_pd(a.v, b.v)}; }
-  static Mask ge(f64x2 a, f64x2 b) { return {_mm_cmpge_pd(a.v, b.v)}; }
-  static Mask ne(f64x2 a, f64x2 b) { return {_mm_cmpneq_pd(a.v, b.v)}; }
-  static Mask mask_and(Mask a, Mask b) { return {_mm_and_pd(a.m, b.m)}; }
-  static unsigned mask_bits(Mask a) {
-    return static_cast<unsigned>(_mm_movemask_pd(a.m));
-  }
-  static Mask mask_from_bits(unsigned bits) {
-    const __m128i ones = _mm_set_epi64x((bits & 2u) ? -1 : 0, (bits & 1u) ? -1 : 0);
-    return {_mm_castsi128_pd(ones)};
-  }
-  static f64x2 select(Mask m, f64x2 a, f64x2 b) {
-    return {_mm_or_pd(_mm_and_pd(m.m, a.v), _mm_andnot_pd(m.m, b.v))};
-  }
-  static Mask mask_andnot(Mask a, Mask b) {
-    return {_mm_andnot_pd(b.m, a.m)};
-  }
-
-  // Unsigned-64 companion pack (see f64xn::U). A set compare-mask lane is
-  // the two's-complement -1, so "add 1 where the mask is set" is a single
-  // psubq against the mask.
-  struct U {
-    __m128i v;
-  };
-
-  static U uload(const std::uint64_t* p) {
-    return {_mm_loadu_si128(reinterpret_cast<const __m128i*>(p))};
-  }
-  static void ustore(std::uint64_t* p, U a) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(p), a.v);
-  }
-  static U uincr(U a) { return {_mm_sub_epi64(a.v, _mm_set1_epi64x(-1))}; }
-  static U uincr(U a, Mask m) {
-    return {_mm_sub_epi64(a.v, _mm_castpd_si128(m.m))};
-  }
-  static U uselect(Mask m, U a, U b) {
-    const __m128i mi = _mm_castpd_si128(m.m);
-    return {_mm_or_si128(_mm_and_si128(mi, a.v), _mm_andnot_si128(mi, b.v))};
-  }
-};
-#endif  // __SSE2__
 
 // ---------------------------------------------------------------------------
 // AVX2 pack. Only TUs compiled with -mavx2 see this definition; the runtime
@@ -331,8 +111,11 @@ struct f64x4 {
     return {_mm256_andnot_pd(b.m, a.m)};
   }
 
-  // Unsigned-64 companion pack (see f64xn::U and the f64x2 note on psubq
-  // against the compare mask).
+  // Unsigned-64 companion pack for the kernels' stream counters (sequence
+  // numbers, attempt/completion tallies). Integer adds are exact, so these
+  // are bit-exact with the scalar per-lane updates by construction. A set
+  // compare-mask lane is the two's-complement -1, so "add 1 where the mask
+  // is set" is a single psubq against the mask.
   struct U {
     __m256i v;
   };

@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/fixed_point.hpp"
-#include "nn/batch_simd.hpp"
 
 namespace iw::nn {
 
@@ -102,52 +101,6 @@ const std::int32_t* run_fixed_tile(const QuantizedNetwork& net,
             std::clamp(static_cast<std::int32_t>(a), -range, range - 1);
         dst[s] = net.tanh_table().eval(clamped);
       }
-    }
-    std::swap(cur, nxt);
-  }
-  return cur;
-}
-
-template <std::size_t T>
-const std::int16_t* run_fixed16_tile(const QuantizedNetwork16& net,
-                                     std::int16_t* cur, std::int16_t* nxt) {
-  const std::int32_t range = net.tanh_table().range_fixed();
-  const int frac = net.frac_bits();
-  for (const QuantizedLayer16& layer : net.layers()) {
-    for (std::size_t o = 0; o < layer.n_out; ++o) {
-      const std::int16_t* row = layer.weights.data() + o * 2 * layer.row_pairs;
-      std::int32_t acc[T];
-      for (std::size_t s = 0; s < T; ++s) acc[s] = 0;
-      for (std::size_t p = 0; p < layer.row_pairs; ++p) {
-        // Mirrors pv.sdotsp.h: two int16 products accumulated in int32. Both
-        // multiply operands stay int16 so the compiler sees a widening
-        // 16x16->32 multiply (vectorizable on baseline SSE2, unlike 32x32).
-        const std::int16_t w0 = row[2 * p];
-        const std::int16_t w1 = row[2 * p + 1];
-        const std::int16_t* col0 = cur + (2 * p) * T;
-        const std::int16_t* col1 = cur + (2 * p + 1) * T;
-        // Keep this a loop (no early full unroll): the loop vectorizer turns
-        // it into widening-multiply vector ops, which the straight-line SLP
-        // vectorizer cannot.
-#pragma GCC unroll 1
-        for (std::size_t s = 0; s < T; ++s) {
-          acc[s] += static_cast<std::int32_t>(w0) * col0[s];
-          acc[s] += static_cast<std::int32_t>(w1) * col1[s];
-        }
-      }
-      const std::int32_t bias = layer.biases[o];
-      std::int16_t* dst = nxt + o * T;
-      for (std::size_t s = 0; s < T; ++s) {
-        const std::int32_t shifted = (acc[s] + bias) >> frac;
-        const std::int32_t clamped = std::clamp(shifted, -range, range - 1);
-        dst[s] = static_cast<std::int16_t>(net.tanh_table().eval(clamped));
-      }
-    }
-    // Zero the pad activation of odd-width outputs; the next layer consumes
-    // it as the second half of its last pair (with a zero pad weight).
-    if (layer.n_out % 2 != 0) {
-      std::int16_t* pad = nxt + layer.n_out * T;
-      for (std::size_t s = 0; s < T; ++s) pad[s] = 0;
     }
     std::swap(cur, nxt);
   }
@@ -374,134 +327,6 @@ void FixedBatch::classify(std::span<const float* const> rows,
     const std::size_t t = std::min(tile_, rows.size() - base);
     load_rows(rows, base, t);
     const std::int32_t* result = run_tile(t);
-    for (std::size_t s = 0; s < t; ++s) {
-      std::size_t best = 0;
-      for (std::size_t o = 1; o < n_out; ++o) {
-        if (result[o * tile_ + s] > result[best * tile_ + s]) best = o;
-      }
-      labels[base + s] = best;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// 16-bit packed path
-// ---------------------------------------------------------------------------
-
-Fixed16Batch::Fixed16Batch(const QuantizedNetwork16& net, std::size_t tile)
-    : net_(&net), tile_(tile) {
-  ensure(tile_ >= 1 && tile_ <= kMaxBatchTile, "Fixed16Batch: tile out of range");
-  // Widths are padded to even (whole pairs), exactly like the per-sample
-  // path's padded activation vectors.
-  stride_ = net.num_inputs() + (net.num_inputs() % 2);
-  for (const QuantizedLayer16& layer : net.layers()) {
-    stride_ = std::max(stride_, layer.n_out + (layer.n_out % 2));
-  }
-  in_.assign(stride_ * tile_, 0);
-  out_.assign(stride_ * tile_, 0);
-}
-
-const std::int16_t* Fixed16Batch::run_tile(std::size_t t) {
-  if (tile_ == kDefaultBatchTile || tile_ == kMaxBatchTile) {
-    if (t < tile_) {
-      const std::size_t padded = net_->num_inputs() + (net_->num_inputs() % 2);
-      zero_lane_tail(in_.data(), padded, tile_, t);
-    }
-    if (tile_ == kMaxBatchTile) {
-      // 16 lanes is the SIMD tier's tile width; nullptr means the active
-      // tier has no dedicated kernel (bit-exact either way — see
-      // batch_simd.hpp).
-      if (const std::int16_t* r =
-              detail::run_fixed16_tile16_simd(*net_, in_.data(), out_.data())) {
-        return r;
-      }
-      return run_fixed16_tile<kMaxBatchTile>(*net_, in_.data(), out_.data());
-    }
-    return run_fixed16_tile<kDefaultBatchTile>(*net_, in_.data(), out_.data());
-  }
-  std::int16_t* cur = in_.data();
-  std::int16_t* nxt = out_.data();
-  const std::int32_t range = net_->tanh_table().range_fixed();
-  const int frac = net_->frac_bits();
-  for (const QuantizedLayer16& layer : net_->layers()) {
-    for (std::size_t o = 0; o < layer.n_out; ++o) {
-      const std::int16_t* row = layer.weights.data() + o * 2 * layer.row_pairs;
-      std::int32_t acc[kMaxBatchTile];
-      for (std::size_t s = 0; s < t; ++s) acc[s] = 0;
-      for (std::size_t p = 0; p < layer.row_pairs; ++p) {
-        const std::int32_t w0 = row[2 * p];
-        const std::int32_t w1 = row[2 * p + 1];
-        const std::int16_t* col0 = cur + (2 * p) * tile_;
-        const std::int16_t* col1 = cur + (2 * p + 1) * tile_;
-        for (std::size_t s = 0; s < t; ++s) {
-          acc[s] += w0 * col0[s];
-          acc[s] += w1 * col1[s];
-        }
-      }
-      const std::int32_t bias = layer.biases[o];
-      std::int16_t* dst = nxt + o * tile_;
-      for (std::size_t s = 0; s < t; ++s) {
-        const std::int32_t shifted = (acc[s] + bias) >> frac;
-        const std::int32_t clamped = std::clamp(shifted, -range, range - 1);
-        dst[s] = static_cast<std::int16_t>(net_->tanh_table().eval(clamped));
-      }
-    }
-    if (layer.n_out % 2 != 0) {
-      std::int16_t* pad = nxt + layer.n_out * tile_;
-      for (std::size_t s = 0; s < t; ++s) pad[s] = 0;
-    }
-    std::swap(cur, nxt);
-  }
-  return cur;
-}
-
-void Fixed16Batch::load_rows(std::span<const float* const> rows,
-                             std::size_t base, std::size_t t) {
-  const std::size_t n_in = net_->num_inputs();
-  const int frac = net_->frac_bits();
-  for (std::size_t s = 0; s < t; ++s) {
-    const float* src = rows[base + s];
-    for (std::size_t i = 0; i < n_in; ++i) {
-      in_[i * tile_ + s] = to_fixed16(std::clamp(src[i], -1.0f, 1.0f), frac);
-    }
-  }
-  if (n_in % 2 != 0) {
-    for (std::size_t s = 0; s < t; ++s) in_[n_in * tile_ + s] = 0;
-  }
-}
-
-void Fixed16Batch::infer_fixed(std::span<const std::int16_t> inputs,
-                               std::span<std::int16_t> outputs) {
-  const std::size_t n_in = net_->num_inputs();
-  const std::size_t n_out = net_->num_outputs();
-  const std::size_t n = check_rows(inputs.size(), n_in, outputs.size(), n_out,
-                                   "Fixed16Batch::infer_fixed");
-  for (std::size_t base = 0; base < n; base += tile_) {
-    const std::size_t t = std::min(tile_, n - base);
-    for (std::size_t s = 0; s < t; ++s) {
-      const std::int16_t* src = inputs.data() + (base + s) * n_in;
-      for (std::size_t i = 0; i < n_in; ++i) in_[i * tile_ + s] = src[i];
-    }
-    if (n_in % 2 != 0) {
-      for (std::size_t s = 0; s < t; ++s) in_[n_in * tile_ + s] = 0;
-    }
-    const std::int16_t* result = run_tile(t);
-    for (std::size_t s = 0; s < t; ++s) {
-      std::int16_t* dst = outputs.data() + (base + s) * n_out;
-      for (std::size_t o = 0; o < n_out; ++o) dst[o] = result[o * tile_ + s];
-    }
-  }
-}
-
-void Fixed16Batch::classify(std::span<const float* const> rows,
-                            std::span<std::size_t> labels) {
-  const std::size_t n_out = net_->num_outputs();
-  ensure(labels.size() == rows.size(),
-         "Fixed16Batch::classify: one label slot per row required");
-  for (std::size_t base = 0; base < rows.size(); base += tile_) {
-    const std::size_t t = std::min(tile_, rows.size() - base);
-    load_rows(rows, base, t);
-    const std::int16_t* result = run_tile(t);
     for (std::size_t s = 0; s < t; ++s) {
       std::size_t best = 0;
       for (std::size_t o = 1; o < n_out; ++o) {

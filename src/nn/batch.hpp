@@ -1,10 +1,11 @@
-// Batched, allocation-free inference for all three arithmetic paths.
+// Batched, allocation-free inference for the float and 32-bit fixed paths.
 //
-// The per-sample entry points (Network::infer, QuantizedNetwork::infer_fixed,
-// QuantizedNetwork16::infer_fixed) heap-allocate activation vectors on every
-// call and stream the full weight matrix from memory once per sample. At fleet
-// scale the classifier dominates, so this module provides one batch engine per
-// arithmetic path with workspaces preallocated at construction:
+// The per-sample entry points (Network::infer, QuantizedNetwork::infer_fixed)
+// heap-allocate activation vectors on every call and stream the full weight
+// matrix from memory once per sample. Training and the app's one-time
+// test-set sweep run many samples through one network, so this module
+// provides one batch engine per arithmetic path with workspaces preallocated
+// at construction:
 //
 //   * Samples are processed in tiles of `tile` rows. Inside a tile the
 //     activations are stored column-major (feature-major: entry `i * tile + s`
@@ -14,10 +15,9 @@
 //     weights) batch-friendly.
 //   * Per sample, the arithmetic sequence is identical to the per-sample
 //     reference: accumulate in input order (one shift per product on the
-//     32-bit path, packed pairs on the 16-bit path), add bias, clip, LUT.
-//     The fixed-point engines are therefore bit-exact with infer_fixed,
-//     including the Q16 even-pair padding semantics; tests/nn/test_batch.cpp
-//     asserts this across shapes and batch sizes.
+//     32-bit path), add bias, clip, LUT. The fixed-point engine is therefore
+//     bit-exact with infer_fixed; tests/nn/test_batch.cpp asserts this
+//     across shapes and batch sizes.
 //   * After construction, infer/classify perform no heap allocation.
 //
 // All engines keep a pointer to their network, which must outlive them and
@@ -30,18 +30,14 @@
 
 #include "nn/network.hpp"
 #include "nn/quantize.hpp"
-#include "nn/quantize16.hpp"
 
 namespace iw::nn {
 
 /// Samples per tile when the caller does not choose: 8 accumulators fit the
-/// host's vector registers on every path (8 doubles, 8 int64, 8 int32).
+/// host's vector registers on both paths (8 doubles, 8 int64).
 inline constexpr std::size_t kDefaultBatchTile = 8;
 /// Hard cap on the tile size (accumulators live in a fixed on-stack array).
 inline constexpr std::size_t kMaxBatchTile = 16;
-/// Default tile for the 16-bit engine: 16 int16 lanes fill a whole vector
-/// register before widening, which measures fastest on the Q16 path.
-inline constexpr std::size_t kDefaultBatchTile16 = kMaxBatchTile;
 
 /// Float batch engine, bit-exact with Network::infer.
 class FloatBatch {
@@ -97,35 +93,6 @@ class FixedBatch {
   std::size_t tile_;
   std::size_t stride_;
   std::vector<std::int32_t> in_, out_;
-};
-
-/// 16-bit packed-SIMD batch engine, bit-exact with
-/// QuantizedNetwork16::infer_fixed including the even-pair padding: rows are
-/// consumed as whole pairs, odd widths carry a zero pad activation.
-class Fixed16Batch {
- public:
-  explicit Fixed16Batch(const QuantizedNetwork16& net,
-                        std::size_t tile = kDefaultBatchTile16);
-
-  const QuantizedNetwork16& network() const { return *net_; }
-  std::size_t tile() const { return tile_; }
-
-  /// `inputs` holds n quantized rows packed row-major (n * num_inputs(),
-  /// unpadded); fills `outputs` (n * num_outputs() values, unpadded).
-  void infer_fixed(std::span<const std::int16_t> inputs,
-                   std::span<std::int16_t> outputs);
-  /// Quantize + infer + argmax on the int16 outputs.
-  void classify(std::span<const float* const> rows, std::span<std::size_t> labels);
-
- private:
-  const std::int16_t* run_tile(std::size_t t);
-  void load_rows(std::span<const float* const> rows, std::size_t base,
-                 std::size_t t);
-
-  const QuantizedNetwork16* net_;
-  std::size_t tile_;
-  std::size_t stride_;  // widest *padded* layer width
-  std::vector<std::int16_t> in_, out_;
 };
 
 }  // namespace iw::nn

@@ -8,6 +8,18 @@
 
 namespace iw::nn {
 
+namespace {
+
+/// Round-to-nearest conversion to int16 in Q(frac_bits), saturating at the
+/// int16 limits: the quantizer for both weights and activations.
+std::int16_t to_fixed16(double value, int frac_bits) {
+  const double scaled = std::nearbyint(value * std::ldexp(1.0, frac_bits));
+  const double clamped = std::clamp(scaled, -32768.0, 32767.0);
+  return static_cast<std::int16_t>(clamped);
+}
+
+}  // namespace
+
 int select_frac_bits16(const Network& net, int max_frac_bits) {
   ensure(max_frac_bits >= 4 && max_frac_bits <= 14, "select_frac_bits16: bad cap");
   const double wmax = std::max(1.0, static_cast<double>(net.max_abs_weight()));
@@ -20,12 +32,6 @@ int select_frac_bits16(const Network& net, int max_frac_bits) {
     if (weight_fits && acc_ok) return f;
   }
   fail("select_frac_bits16: weights too large for the 16-bit format");
-}
-
-std::int16_t to_fixed16(double value, int frac_bits) {
-  const double scaled = std::nearbyint(value * std::ldexp(1.0, frac_bits));
-  const double clamped = std::clamp(scaled, -32768.0, 32767.0);
-  return static_cast<std::int16_t>(clamped);
 }
 
 QuantizedNetwork16 QuantizedNetwork16::from(const Network& net, int max_frac_bits,

@@ -73,10 +73,4 @@ class QuantizedNetwork16 {
 /// (b) a full row accumulation plus bias stays within int32 with 2x margin.
 int select_frac_bits16(const Network& net, int max_frac_bits = 12);
 
-/// Round-to-nearest conversion to int16 in Q(frac_bits), saturating at the
-/// int16 limits. This is the quantizer used for both weights and activations
-/// on the 16-bit path; the batch engine reuses it so batched quantization is
-/// bit-identical to quantize_input.
-std::int16_t to_fixed16(double value, int frac_bits);
-
 }  // namespace iw::nn

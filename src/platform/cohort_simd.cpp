@@ -6,21 +6,15 @@
 namespace iw::platform::detail {
 
 std::size_t run_cohort_group_simd(const CohortGroupRefs& refs) {
+  // active_tier() runs in the portable build too, so a bad IW_SIMD value is
+  // refused the same way there.
+  if (simd::active_tier() != simd::Tier::kAvx2) return 0;
 #if defined(IW_SIMD_ENABLED)
-  switch (simd::active_tier()) {
-    case simd::Tier::kAvx2:
-      return run_cohort_group_simd_avx2(refs);
-    case simd::Tier::kSse2:
-      return run_cohort_group_simd_sse2(refs);
-    case simd::Tier::kArray:
-      return run_cohort_group_simd_array(refs);
-    case simd::Tier::kOff:
-      break;
-  }
+  return run_cohort_group_simd_avx2(refs);
 #else
   (void)refs;
-#endif
   return 0;
+#endif
 }
 
 }  // namespace iw::platform::detail

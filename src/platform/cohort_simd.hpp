@@ -12,9 +12,9 @@
 // Bit-exactness is by construction: lanes only ever share *instructions*,
 // never operands, and every vector statement is the same IEEE operation in
 // the same order as the scalar kernel (see cohort_simd_impl.hpp for the
-// statement-by-statement argument). The per-tier translation units are
-// compiled with -ffp-contract=off so no fused multiply-add can be
-// introduced behind the wrapper's back.
+// statement-by-statement argument). The AVX2 translation unit is compiled
+// with -ffp-contract=off so no fused multiply-add can be introduced behind
+// the wrapper's back.
 #pragma once
 
 #include <cstddef>
@@ -23,17 +23,15 @@ namespace iw::platform::detail {
 
 struct CohortGroupRefs;
 
-/// Dispatches to the widest active SIMD tier (simd::active_tier()); returns
-/// the number of register-eligible lanes consumed (0 when the tier is off or
-/// the build excludes SIMD kernels).
+/// Runs the AVX2 kernel when simd::active_tier() is avx2; returns the number
+/// of register-eligible lanes consumed (0 when the tier is off or the build
+/// excludes SIMD kernels).
 std::size_t run_cohort_group_simd(const CohortGroupRefs& refs);
 
-/// Per-tier entry points, each defined in its own translation unit so the
-/// AVX2 code can be compiled with -mavx2 without contaminating baseline TUs.
-/// A tier TU compiled on a target lacking the ISA defines its symbol as a
-/// stub returning 0; the dispatcher never selects it there.
-std::size_t run_cohort_group_simd_array(const CohortGroupRefs& refs);
-std::size_t run_cohort_group_simd_sse2(const CohortGroupRefs& refs);
+/// The AVX2 entry point, defined in its own translation unit so the AVX2
+/// code can be compiled with -mavx2 without contaminating baseline TUs. A
+/// compiler without -mavx2 gets a stub returning 0; the dispatcher never
+/// selects it there.
 std::size_t run_cohort_group_simd_avx2(const CohortGroupRefs& refs);
 
 }  // namespace iw::platform::detail

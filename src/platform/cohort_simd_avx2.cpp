@@ -12,7 +12,7 @@ std::size_t run_cohort_group_simd_avx2(const CohortGroupRefs& refs) {
 }
 #else
 // Compiler lacked -mavx2 support: the dispatcher never selects this tier
-// (tier_compiled is false), but the symbol must exist.
+// (tier_usable is false), but the symbol must exist.
 std::size_t run_cohort_group_simd_avx2(const CohortGroupRefs&) { return 0; }
 #endif
 

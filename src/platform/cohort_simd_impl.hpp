@@ -1,5 +1,6 @@
-// Shared implementation of the SIMD cohort day kernel, instantiated once per
-// tier translation unit (array / SSE2 / AVX2) with the matching pack type.
+// Implementation of the SIMD cohort day kernel, written against the pack
+// interface of common/simd.hpp and instantiated once, with f64x4, by the
+// AVX2 translation unit (cohort_simd_avx2.cpp).
 //
 // Bit-exactness argument. The kernel is the register-resident lane kernel of
 // device.cpp (run_cohort_reg_lanes) with the per-lane loops turned into
@@ -8,7 +9,7 @@
 //   * Every arithmetic statement is the same IEEE-754 expression, in the
 //     same order, on the same per-lane operands as the scalar kernel.
 //     Vector add/sub/mul/div are correctly rounded per lane, so each lane's
-//     bits equal the scalar chain's bits. The tier TUs are compiled with
+//     bits equal the scalar chain's bits. The AVX2 TU is compiled with
 //     -ffp-contract=off, so the compiler cannot fuse a mul+add the scalar
 //     kernel keeps separate (and the scalar kernel's own TU never enables
 //     FMA, so neither side contracts).

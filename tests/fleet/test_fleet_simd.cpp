@@ -19,10 +19,7 @@ using test::runner_rows;
 
 std::vector<simd::Tier> all_tiers() {
   std::vector<simd::Tier> tiers = {simd::Tier::kOff};
-  for (simd::Tier t :
-       {simd::Tier::kArray, simd::Tier::kSse2, simd::Tier::kAvx2}) {
-    if (simd::tier_usable(t)) tiers.push_back(t);
-  }
+  if (simd::tier_usable(simd::Tier::kAvx2)) tiers.push_back(simd::Tier::kAvx2);
   return tiers;
 }
 

@@ -1,7 +1,6 @@
 // Bit-exactness of the batch engines against the per-sample reference paths,
-// across layer shapes (odd widths exercising the Q16 pad pair, single-neuron
-// layers), batch sizes that cover partial tiles (1 and 513), and the paper's
-// Network A/B presets.
+// across layer shapes (odd widths, single-neuron layers), batch sizes that
+// cover partial tiles (1 and 513), and the paper's Network A/B presets.
 #include "nn/batch.hpp"
 
 #include <gtest/gtest.h>
@@ -11,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "nn/presets.hpp"
+#include "nn/quantize16.hpp"
 
 namespace iw::nn {
 namespace {
@@ -33,10 +33,10 @@ std::vector<const float*> pointers(const std::vector<std::vector<float>>& rows) 
   return ptrs;
 }
 
-/// Shapes from the issue checklist: odd n_in (Q16 pad pair), single-neuron
-/// hidden and output layers, plus a plain even-width net.
+/// Odd input widths, single-neuron hidden and output layers, plus a plain
+/// even-width net.
 const std::vector<std::vector<std::size_t>> kShapes = {
-    {3, 2},           // odd input width -> Q16 input pad
+    {3, 2},           // odd input width
     {5, 1, 4},        // single-neuron hidden layer (odd too)
     {4, 3, 1},        // single-neuron output
     {6, 8, 4},        // all even
@@ -104,36 +104,6 @@ void expect_fixed_bit_exact(const Network& net, std::size_t n, std::uint64_t see
   }
 }
 
-void expect_fixed16_bit_exact(const Network& net, std::size_t n,
-                              std::uint64_t seed, std::size_t tile) {
-  const QuantizedNetwork16 qn = QuantizedNetwork16::from(net);
-  Rng rng(seed);
-  const auto rows = random_rows(n, net.num_inputs(), rng);
-  Fixed16Batch batch(qn, tile);
-
-  std::vector<std::int16_t> packed(n * qn.num_inputs());
-  for (std::size_t s = 0; s < n; ++s) {
-    const auto q = qn.quantize_input(rows[s]);
-    std::copy(q.begin(), q.end(),
-              packed.begin() + static_cast<std::ptrdiff_t>(s * qn.num_inputs()));
-  }
-  std::vector<std::int16_t> outputs(n * qn.num_outputs());
-  batch.infer_fixed(packed, outputs);
-  std::vector<std::size_t> labels(n);
-  batch.classify(pointers(rows), labels);
-
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::vector<std::int16_t> ref = qn.infer_fixed(
-        std::span<const std::int16_t>(packed.data() + s * qn.num_inputs(),
-                                      qn.num_inputs()));
-    for (std::size_t o = 0; o < ref.size(); ++o) {
-      ASSERT_EQ(outputs[s * ref.size() + o], ref[o])
-          << "sample " << s << " output " << o;
-    }
-    ASSERT_EQ(labels[s], qn.classify(rows[s])) << "sample " << s;
-  }
-}
-
 TEST(BatchFloat, BitExactAcrossShapesAndBatchSizes) {
   std::uint64_t seed = 100;
   for (const auto& shape : kShapes) {
@@ -158,18 +128,6 @@ TEST(BatchFixed32, BitExactAcrossShapesAndBatchSizes) {
   }
 }
 
-TEST(BatchFixed16, BitExactAcrossShapesAndBatchSizes) {
-  std::uint64_t seed = 300;
-  for (const auto& shape : kShapes) {
-    Rng rng(seed);
-    const Network net = Network::create(shape, rng);
-    for (const std::size_t n : {std::size_t{1}, std::size_t{513}}) {
-      expect_fixed16_bit_exact(net, n, seed + 1, kDefaultBatchTile);
-    }
-    ++seed;
-  }
-}
-
 TEST(Batch, OddTileSizesStayBitExact) {
   // Tiles that do not divide the batch exercise the partial-tile path on
   // every call; tile 1 degenerates to per-sample order.
@@ -178,7 +136,6 @@ TEST(Batch, OddTileSizesStayBitExact) {
   for (const std::size_t tile : {std::size_t{1}, std::size_t{3}, std::size_t{13}}) {
     expect_float_bit_exact(net, 29, 401, tile);
     expect_fixed_bit_exact(net, 29, 402, tile);
-    expect_fixed16_bit_exact(net, 29, 403, tile);
   }
 }
 
@@ -187,7 +144,6 @@ TEST(Batch, NetworkAPresetBitExact) {
   const Network net = make_network_a(rng);
   expect_float_bit_exact(net, 513, 43, kDefaultBatchTile);
   expect_fixed_bit_exact(net, 513, 44, kDefaultBatchTile);
-  expect_fixed16_bit_exact(net, 513, 45, kDefaultBatchTile);
 }
 
 TEST(Batch, NetworkBPresetBitExact) {
@@ -197,7 +153,6 @@ TEST(Batch, NetworkBPresetBitExact) {
   // cover a partial final tile.
   expect_float_bit_exact(net, 27, 48, kDefaultBatchTile);
   expect_fixed_bit_exact(net, 27, 49, kDefaultBatchTile);
-  expect_fixed16_bit_exact(net, 27, 50, kDefaultBatchTile);
 }
 
 TEST(Batch, RejectsMismatchedSpans) {

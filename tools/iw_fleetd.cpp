@@ -179,12 +179,12 @@ int main(int argc, char** argv) {
       return usage(argv[0]);
     }
   }
-  if (smoke) return run_smoke();
   if (query_day <= 0 || query_day > config.days) query_day = config.days;
   // Day-table stride: by default print ~12 rows regardless of horizon.
   if (every <= 0) every = config.days <= 12 ? 1 : (config.days + 11) / 12;
 
   try {
+    if (smoke) return run_smoke();
     std::optional<iw::core::StressDetectionApp> app;
     if (with_app) {
       app.emplace(iw::core::StressDetectionApp::build(app_config));
