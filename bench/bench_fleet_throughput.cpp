@@ -13,13 +13,14 @@
 //           cohort kernel, sharing segment tables, the detection-gate window
 //           and policy objects across the shard
 // then sweeps the runner across the SIMD tiers this build + host can run
-// (off, and avx2 where usable) at one thread. Reports device-days/sec, the
+// (off, and avx2 where usable) at one thread, five alternating rounds per
+// tier reported as median, min and max. Reports device-days/sec, the
 // fast-vs-engine / cohort-vs-fast / simd-vs-scalar speedups, and the
 // runner's thread scaling; cross-checks the determinism invariants in-run
 // (per-device FleetStats byte-identical on every path, thread count and SIMD
 // tier, each compared against the engine oracle's serialization). Results
-// land in BENCH_fleet_throughput.json along with the host CPU model and ISA
-// features that produced them.
+// land in BENCH_fleet_throughput.json along with the host CPU model, ISA
+// features and compiler that produced them.
 //
 // `--smoke` replaces the sweep with a seconds-scale cross-check (64 devices x
 // 1 day through both oracle drivers, the runner at every tier and at 2
@@ -28,6 +29,7 @@
 // shards, threads or tier), and exits nonzero on any mismatch.
 // scripts/check.sh runs it on every build and pins the digest, in the SIMD
 // and the -DIW_SIMD=OFF portable build.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -91,6 +93,20 @@ Run run_oracle(const iw::fleet::LongitudinalConfig& config,
                              run.wall_s
                        : 0.0;
   return run;
+}
+
+/// Median, min and max of repeated measurements.
+struct Spread {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+Spread spread(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  const double median = n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+  return Spread{median, v.front(), v.back()};
 }
 
 Run run_cohort(iw::fleet::LongitudinalConfig config, int threads) {
@@ -178,6 +194,7 @@ int run_bench(int argc, char** argv) {
   json.add("cpu_model", iw::hostinfo::cpu_model());
   json.add("cpu_simd_features", iw::hostinfo::cpu_simd_features());
   json.add("simd_tier", iw::simd::tier_name(iw::simd::active_tier()));
+  json.add("compiler", __VERSION__);
 
   std::printf("%16s %8s %16s %10s %12s\n", "path", "threads", "dev-days/sec",
               "speedup", "efficiency");
@@ -211,27 +228,37 @@ int run_bench(int argc, char** argv) {
     report("cohort", threads, cohort, cohort_t1_ddps);
   }
 
-  // SIMD tier axis: the runner at one thread, once per tier this build +
-  // host can run, each run's rows compared byte-for-byte against the engine
-  // oracle.
+  // SIMD tier axis: the runner at one thread, kTierReps rounds that each run
+  // every tier this build + host can run once (alternating, so host drift
+  // hits all tiers alike), each run's rows compared byte-for-byte against the
+  // engine oracle. A pass is short (about 0.1 s at 4000 devices x 2 days),
+  // so a single pass per tier swings too much to rank tiers; the rows report
+  // the median, min and max of the rounds.
+  constexpr int kTierReps = 5;
   bool tiers_identical = true;
-  double tier_off_ddps = 0.0;
-  double tier_best_ddps = 0.0;
-  for (iw::simd::Tier tier : tiers) {
-    iw::simd::override_tier(tier);
-    const Run cohort = run_cohort(config, 1);
-    if (cohort.serialized != reference) tiers_identical = false;
-    if (tier == iw::simd::Tier::kOff) tier_off_ddps = cohort.device_days_per_sec;
-    tier_best_ddps = cohort.device_days_per_sec;  // tiers iterate narrow->wide
-    const std::string label =
-        std::string("cohort tier=") + iw::simd::tier_name(tier);
-    const double speedup =
-        tier_off_ddps > 0.0 ? cohort.device_days_per_sec / tier_off_ddps : 0.0;
-    std::printf("%16s %8d %16.1f %9.2fx %12s\n", label.c_str(), 1,
-                cohort.device_days_per_sec, speedup, "");
-    json.add("cohort_tier_" + std::string(iw::simd::tier_name(tier)) +
-                 "_t1_device_days_per_sec",
-             cohort.device_days_per_sec);
+  std::vector<std::vector<double>> tier_ddps(tiers.size());
+  std::vector<double> pair_speedups;  // widest tier / off, per round
+  for (int rep = 0; rep < kTierReps; ++rep) {
+    for (std::size_t t = 0; t < tiers.size(); ++t) {
+      iw::simd::override_tier(tiers[t]);
+      const Run cohort = run_cohort(config, 1);
+      if (cohort.serialized != reference) tiers_identical = false;
+      tier_ddps[t].push_back(cohort.device_days_per_sec);
+    }
+    pair_speedups.push_back(tier_ddps.back().back() / tier_ddps.front().back());
+  }
+  json.add("cohort_tier_reps", static_cast<double>(kTierReps));
+  const Spread off = spread(tier_ddps.front());
+  for (std::size_t t = 0; t < tiers.size(); ++t) {
+    const Spread s = spread(tier_ddps[t]);
+    const std::string label = std::string("cohort tier=") + iw::simd::tier_name(tiers[t]);
+    std::printf("%16s %8d %16.1f %9.2fx   (min %.1f, max %.1f over %d)\n", label.c_str(),
+                1, s.median, s.median / off.median, s.min, s.max, kTierReps);
+    const std::string prefix =
+        "cohort_tier_" + std::string(iw::simd::tier_name(tiers[t])) + "_t1_device_days_per_sec";
+    json.add(prefix, s.median);
+    json.add(prefix + "_min", s.min);
+    json.add(prefix + "_max", s.max);
   }
   iw::simd::clear_override();
 
@@ -240,16 +267,18 @@ int run_bench(int argc, char** argv) {
                                   : 0.0;
   const double cohort_speedup =
       fast.device_days_per_sec > 0.0 ? cohort_t1_ddps / fast.device_days_per_sec : 0.0;
-  const double simd_speedup =
-      tier_off_ddps > 0.0 ? tier_best_ddps / tier_off_ddps : 0.0;
+  const double simd_speedup = spread(tier_ddps.back()).median / off.median;
+  const Spread simd_pairs = spread(pair_speedups);
   std::printf("\n  fast path vs engine path (1 thread): %.2fx\n", fast_speedup);
   std::printf("  cohort kernel vs fast path (1 thread): %.2fx\n",
               cohort_speedup);
-  std::printf("  cohort SIMD vs scalar kernel (1 thread): %.2fx\n",
-              simd_speedup);
+  std::printf("  cohort SIMD vs scalar kernel (1 thread): %.2fx (per round %.2f-%.2fx)\n",
+              simd_speedup, simd_pairs.min, simd_pairs.max);
   json.add("fast_vs_engine_speedup_t1", fast_speedup);
   json.add("cohort_vs_fast_speedup_t1", cohort_speedup);
   json.add("cohort_simd_vs_scalar_speedup_t1", simd_speedup);
+  json.add("cohort_simd_vs_scalar_speedup_t1_min", simd_pairs.min);
+  json.add("cohort_simd_vs_scalar_speedup_t1_max", simd_pairs.max);
   json.add("deterministic_across_threads_and_paths", deterministic ? 1.0 : 0.0);
   json.add("identical_across_simd_tiers", tiers_identical ? 1.0 : 0.0);
   json.add("fleet_completed_detections",

@@ -13,7 +13,8 @@
 # kernel, per-worker scratch reuse, the intrinsic packs and the
 # direct-threaded trace executor are where a stale-pointer or aliasing bug
 # would live), a ThreadSanitizer pass over the concurrent fleet/platform
-# layers and the kernel runner's compile memo, and clang-tidy when available.
+# layers, the kernel runner's compile memo and the rvsim load-analysis
+# cache, and clang-tidy when available.
 #
 # Usage: scripts/check.sh            # from the repository root
 #
@@ -214,11 +215,12 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
 UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   ./build-ubsan/tests/test_cli_flags
 echo
-echo "== TSan pass (fleet + platform suites, kernel compile memo) =="
+echo "== TSan pass (fleet + platform suites, kernel compile memo, load-analysis cache) =="
 cmake -B build-tsan -S . -DIW_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$(nproc)" \
   --target test_platform test_fast_day test_cohort_day test_cohort_simd \
-  test_fleet test_fleet_cohort test_fleet_simd test_fleet_long test_kernel_memo
+  test_fleet test_fleet_cohort test_fleet_simd test_fleet_long test_kernel_memo \
+  test_load_cache
 TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
   ./build-tsan/tests/test_fleet
 TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
@@ -237,6 +239,8 @@ TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
   ./build-tsan/tests/test_cohort_day
 TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
   ./build-tsan/tests/test_kernel_memo
+TSAN_OPTIONS=halt_on_error=1:second_deadlock_stack=1 \
+  ./build-tsan/tests/test_load_cache
 
 echo
 echo "check.sh: all green"

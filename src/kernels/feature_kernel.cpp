@@ -137,7 +137,8 @@ HrvKernelResult run_hrv_kernel(std::span<const std::int32_t> rr_ms) {
   for (std::int32_t v : rr_ms) {
     ensure(v >= 0 && v <= 5000, "run_hrv_kernel: implausible RR interval (ms)");
   }
-  const asmx::Program program = asmx::assemble(kKernelSource);
+  // The source is constant: assemble it once per process.
+  static const asmx::Program program = asmx::assemble(kKernelSource);
   ensure(program.end_address() <= kCountAddr, "run_hrv_kernel: program overflows layout");
 
   rv::Machine machine(rv::ri5cy(), 1 << 16);
@@ -307,7 +308,8 @@ GsrKernelResult run_gsr_kernel(std::span<const std::int32_t> samples_q8,
   for (std::int32_t v : samples_q8) {
     ensure(v >= 0 && v <= (50 << 8), "run_gsr_kernel: implausible conductance");
   }
-  const asmx::Program program = asmx::assemble(kGsrKernelSource);
+  // The source is constant: assemble it once per process.
+  static const asmx::Program program = asmx::assemble(kGsrKernelSource);
   ensure(program.end_address() <= kGsrCountAddr,
          "run_gsr_kernel: program overflows layout");
 

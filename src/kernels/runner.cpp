@@ -331,7 +331,8 @@ using OutputReader = std::function<void(const rv::Memory&, KernelRunResult&)>;
 /// Runs the kernel for `key` on a fresh Machine or Cluster (so the process
 /// trace-mode default applies): loads the compiled image (compiling it on a
 /// memo miss), writes this call's weights and input, and runs with the
-/// verify_on_load gate armed, so every run is still analyzed at load time.
+/// verify_on_load gate armed, so every run is still checked at load time
+/// (against the load-analysis cache once the image has been accepted).
 KernelRunResult execute(const KernelKey& key, const DataWriter& write_data,
                         const OutputReader& read_outputs) {
   rv::analysis::install_load_verifier();

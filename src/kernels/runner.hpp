@@ -10,7 +10,10 @@
 // run once per distinct kernel image and are memoized for the process
 // (thread-safe). Weights and inputs are data written after the load; every
 // call still builds a fresh Machine or Cluster and runs with the
-// verify_on_load gate armed.
+// verify_on_load gate armed. The gate and trace certification both answer
+// from the analysis library's load-analysis cache (rv::analysis::
+// load_analysis), keyed on the image's code words, so a call on an image
+// accepted before runs no static analysis at all.
 #pragma once
 
 #include <cstdint>

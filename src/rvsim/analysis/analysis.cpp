@@ -1,12 +1,15 @@
 #include "rvsim/analysis/analysis.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
 #include <iomanip>
 #include <limits>
+#include <list>
 #include <map>
+#include <mutex>
 #include <queue>
 #include <set>
 #include <sstream>
@@ -1462,17 +1465,32 @@ std::string AnalysisReport::to_json() const {
   return os.str();
 }
 
-AnalysisReport analyze(Memory& mem, std::uint32_t entry,
-                       const TimingProfile& profile,
-                       const AnalyzeOptions& options) {
+namespace {
+
+std::atomic<std::uint64_t> g_analyses{0};
+
+/// Runs the analyzer. When `decoded` is given it receives the merged [start,
+/// end) ranges of every instruction word the analyzer decoded.
+AnalysisReport run_analyzer(Memory& mem, std::uint32_t entry, const TimingProfile& profile,
+                            const AnalyzeOptions& options,
+                            std::vector<std::pair<std::uint32_t, std::uint32_t>>* decoded) {
+  ++g_analyses;
   Analyzer analyzer(mem, entry, profile, options);
-  return analyzer.run(entry);
+  AnalysisReport report = analyzer.run(entry);
+  if (decoded != nullptr) {
+    for (const auto& [pc, in] : analyzer.instrs) {
+      (void)in;
+      if (!decoded->empty() && decoded->back().second == pc) {
+        decoded->back().second = pc + 4u;
+      } else {
+        decoded->emplace_back(pc, pc + 4u);
+      }
+    }
+  }
+  return report;
 }
 
-void verify_or_throw(Memory& mem, std::uint32_t entry,
-                     const TimingProfile& profile) {
-  const AnalysisReport report = analyze(mem, entry, profile);
-  if (report.ok()) return;
+[[noreturn]] void throw_rejected(const AnalysisReport& report, const TimingProfile& profile) {
   std::ostringstream os;
   os << "verify_on_load[" << profile.name << "]: " << report.error_count()
      << " static diagnostic(s):";
@@ -1483,32 +1501,165 @@ void verify_or_throw(Memory& mem, std::uint32_t entry,
   fail(os.str());
 }
 
-CodeCertificate certify(Memory& mem, std::uint32_t entry,
-                        const TimingProfile& profile) {
+/// Condenses an accepted report into the trace compiler's certificate.
+CodeCertificate certificate_of(const AnalysisReport& report) {
   CodeCertificate cert;
-  try {
-    const AnalysisReport report = analyze(mem, entry, profile);
-    cert.ok = report.ok();
-    if (!cert.ok) return cert;
-    // Merge the (sorted) blocks into disjoint code ranges; adjacent blocks
-    // fuse so a superblock can run straight-line across block boundaries.
-    for (const BasicBlock& b : report.blocks) {
-      if (!cert.ranges.empty() && b.start <= cert.ranges.back().second) {
-        if (b.end > cert.ranges.back().second) cert.ranges.back().second = b.end;
-      } else {
-        cert.ranges.emplace_back(b.start, b.end);
-      }
+  cert.ok = true;
+  // Merge the (sorted) blocks into disjoint code ranges; adjacent blocks
+  // fuse so a superblock can run straight-line across block boundaries.
+  for (const BasicBlock& b : report.blocks) {
+    if (!cert.ranges.empty() && b.start <= cert.ranges.back().second) {
+      if (b.end > cert.ranges.back().second) cert.ranges.back().second = b.end;
+    } else {
+      cert.ranges.emplace_back(b.start, b.end);
     }
-    for (const HwLoopRegion& r : report.loops) cert.loop_ends.push_back(r.end);
-  } catch (...) {
-    cert = CodeCertificate{};  // analysis failure: nothing is certified
   }
+  for (const HwLoopRegion& r : report.loops) cert.loop_ends.push_back(r.end);
   return cert;
 }
 
+/// The process-wide load-analysis cache (see analysis.hpp), most recently
+/// used image first. Entries are immutable once published.
+class LoadCache {
+ public:
+  std::shared_ptr<const LoadAnalysis> find(const Memory& mem, std::uint32_t entry,
+                                           const TimingProfile& profile) {
+    const std::lock_guard<std::mutex> lock(mu_);
+    const auto it = lookup(mem, entry, profile);
+    if (it == entries_.end()) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    ++stats_.hits;
+    entries_.splice(entries_.begin(), entries_, it);
+    return it->analysis;
+  }
+
+  /// Keeps `analysis` of the image now in `mem` unless a racing caller
+  /// already kept the same image.
+  void publish(const Memory& mem, std::uint32_t entry, const TimingProfile& profile,
+               std::shared_ptr<const LoadAnalysis> analysis) {
+    Entry e{profile, entry, mem.size(), {}, std::move(analysis)};
+    for (const auto& [start, end] : e.analysis->code) {
+      for (std::uint32_t pc = start; pc < end; pc += 4) e.words.push_back(mem.load32(pc));
+    }
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (lookup(mem, entry, profile) != entries_.end()) return;
+    entries_.push_front(std::move(e));
+    if (entries_.size() > kLoadCacheCapacity) entries_.pop_back();
+  }
+
+  LoadCacheStats stats() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    LoadCacheStats s = stats_;
+    s.entries = entries_.size();
+    s.analyses = g_analyses.load();
+    return s;
+  }
+
+  void clear() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    entries_.clear();
+    stats_ = LoadCacheStats{};
+    g_analyses.store(0);
+  }
+
+ private:
+  struct Entry {
+    TimingProfile profile;
+    std::uint32_t entry = 0;
+    std::size_t mem_size = 0;
+    std::vector<std::uint32_t> words;  // the decoded words, in `code` order
+    std::shared_ptr<const LoadAnalysis> analysis;
+  };
+
+  std::list<Entry>::iterator lookup(const Memory& mem, std::uint32_t entry,
+                                    const TimingProfile& profile) {
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->entry == entry && it->mem_size == mem.size() && it->profile == profile &&
+          same_code(*it, mem)) {
+        return it;
+      }
+    }
+    return entries_.end();
+  }
+
+  static bool same_code(const Entry& e, const Memory& mem) {
+    std::size_t k = 0;
+    for (const auto& [start, end] : e.analysis->code) {
+      for (std::uint32_t pc = start; pc < end; pc += 4, ++k) {
+        if (mem.load32(pc) != e.words[k]) return false;
+      }
+    }
+    return true;
+  }
+
+  std::mutex mu_;
+  std::list<Entry> entries_;
+  LoadCacheStats stats_;
+};
+
+LoadCache& load_cache() {
+  static LoadCache instance;
+  return instance;
+}
+
+void verify_load(Memory& mem, std::uint32_t entry, const TimingProfile& profile) {
+  (void)load_analysis(mem, entry, profile);
+}
+
+CodeCertificate certify_load(Memory& mem, std::uint32_t entry, const TimingProfile& profile) {
+  try {
+    return load_analysis(mem, entry, profile)->certificate;
+  } catch (...) {
+    return CodeCertificate{};  // rejected or failed: nothing is certified
+  }
+}
+
+}  // namespace
+
+AnalysisReport analyze(Memory& mem, std::uint32_t entry,
+                       const TimingProfile& profile,
+                       const AnalyzeOptions& options) {
+  return run_analyzer(mem, entry, profile, options, nullptr);
+}
+
+void verify_or_throw(Memory& mem, std::uint32_t entry,
+                     const TimingProfile& profile) {
+  const AnalysisReport report = analyze(mem, entry, profile);
+  if (!report.ok()) throw_rejected(report, profile);
+}
+
+CodeCertificate certify(Memory& mem, std::uint32_t entry,
+                        const TimingProfile& profile) {
+  try {
+    const AnalysisReport report = analyze(mem, entry, profile);
+    if (report.ok()) return certificate_of(report);
+  } catch (...) {
+    // analysis failure: nothing is certified
+  }
+  return CodeCertificate{};
+}
+
+std::shared_ptr<const LoadAnalysis> load_analysis(Memory& mem, std::uint32_t entry,
+                                                  const TimingProfile& profile) {
+  LoadCache& cache = load_cache();
+  if (auto hit = cache.find(mem, entry, profile)) return hit;
+  auto analysis = std::make_shared<LoadAnalysis>();
+  const AnalysisReport report = run_analyzer(mem, entry, profile, {}, &analysis->code);
+  if (!report.ok()) throw_rejected(report, profile);
+  analysis->certificate = certificate_of(report);
+  cache.publish(mem, entry, profile, analysis);
+  return analysis;
+}
+
+LoadCacheStats load_cache_stats() { return load_cache().stats(); }
+
+void clear_load_cache() { load_cache().clear(); }
+
 void install_load_verifier() {
-  set_program_verifier(&verify_or_throw);
-  set_code_analyzer(&certify);
+  set_program_verifier(&verify_load);
+  set_code_analyzer(&certify_load);
 }
 
 }  // namespace iw::rv::analysis

@@ -66,9 +66,12 @@
 // latency) and does not model DMA (the reference kernels do not use it).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "rvsim/isa.hpp"
@@ -225,7 +228,8 @@ AnalysisReport analyze(Memory& mem, std::uint32_t entry,
                        const AnalyzeOptions& options = {});
 
 /// Runs analyze() and throws iw::Error summarizing every error diagnostic if
-/// the report is not ok(). The Machine/Cluster verify_on_load gate.
+/// the report is not ok(). Uncached; the verify_on_load hook that
+/// install_load_verifier() installs answers through load_analysis() instead.
 void verify_or_throw(Memory& mem, std::uint32_t entry,
                      const TimingProfile& profile);
 
@@ -233,14 +237,58 @@ void verify_or_throw(Memory& mem, std::uint32_t entry,
 /// into the CodeCertificate the superblock compiler consumes (merged code
 /// ranges + statically known hardware-loop end pcs). Not-ok on any error
 /// diagnostic or analysis failure, which disables trace compilation for the
-/// image. Installed as the rv::set_code_analyzer hook by
-/// install_load_verifier().
+/// image. Uncached, like verify_or_throw.
 CodeCertificate certify(Memory& mem, std::uint32_t entry,
                         const TimingProfile& profile);
 
-/// Installs verify_or_throw as the global rv::Machine / rv::Cluster
-/// verify_on_load hook and certify() as the trace-compiler analyzer hook
-/// (idempotent).
+// --- load-analysis cache ---------------------------------------------------
+//
+// Every gated Machine/Cluster run asks the same question twice (the
+// verify_on_load gate, then trace certification), and a kernel runner asks it
+// again for every call on the same image. The process-wide load-analysis
+// cache answers both hooks from one analyze() run per distinct image. Its key
+// is exactly what a default-options analysis reads: the TimingProfile (by
+// value), the entry pc, mem.size() and the bytes of every instruction word
+// the analyzer decoded. Those inputs determine the whole report, so a hit
+// returns what a fresh analysis would; data words (weights, inputs) are not
+// part of the key, and a change to any decoded word misses. Only accepted
+// images are kept: a rejected image is analyzed again on every load and
+// throws the verify_or_throw diagnostics. The cache is mutex-guarded and
+// holds at most kLoadCacheCapacity images, evicting the least recently used.
+
+/// One accepted load analysis, as the cache keeps it.
+struct LoadAnalysis {
+  /// What certify() returns for the image.
+  CodeCertificate certificate;
+  /// Merged, sorted, disjoint [start, end) byte ranges of every instruction
+  /// word the analyzer decoded (the code part of the cache key).
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> code;
+};
+
+inline constexpr std::size_t kLoadCacheCapacity = 64;
+
+/// The accepted default-options analysis of the image in `mem` from `entry`
+/// under `profile`: the cached one on a hit, else the result of one analyze()
+/// run, which is kept. Throws exactly what verify_or_throw throws when the
+/// image is rejected (and keeps nothing).
+std::shared_ptr<const LoadAnalysis> load_analysis(Memory& mem, std::uint32_t entry,
+                                                  const TimingProfile& profile);
+
+struct LoadCacheStats {
+  std::uint64_t hits = 0;    // load_analysis() calls answered from the cache
+  std::uint64_t misses = 0;  // load_analysis() calls that ran the analyzer
+  std::size_t entries = 0;   // images kept (<= kLoadCacheCapacity)
+  /// analyze() runs in this process, from any caller, since the last clear.
+  std::uint64_t analyses = 0;
+};
+LoadCacheStats load_cache_stats();
+/// Drops every kept image and zeroes the counters.
+void clear_load_cache();
+
+/// Installs the global rv::Machine / rv::Cluster verify_on_load hook and the
+/// trace-compiler analyzer hook (idempotent). Both answer through
+/// load_analysis(): the gate throws on a rejected image, certification
+/// returns the cached certificate (not-ok when rejected).
 void install_load_verifier();
 
 }  // namespace iw::rv::analysis

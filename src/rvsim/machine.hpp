@@ -37,7 +37,8 @@ class Machine {
   /// the loaded image from the entry point before executing anything and
   /// throws iw::Error on any diagnostic (unsupported instructions, malformed
   /// hardware loops, bad jump targets, ...). Requires the iw_rvsim_analysis
-  /// verifier to be installed (see rvsim/verify_hook.hpp).
+  /// verifier to be installed (see rvsim/verify_hook.hpp); the installed one
+  /// skips the analysis for an image it has accepted before.
   void set_verify_on_load(bool enabled) { verify_on_load_ = enabled; }
   bool verify_on_load() const { return verify_on_load_; }
 

@@ -7,7 +7,10 @@
 // analysis library installs its verifier once
 // (analysis::install_load_verifier()), and a Machine/Cluster with the gate
 // enabled calls it at run() time. Running with the gate enabled but no
-// verifier installed is a hard error, never a silent skip.
+// verifier installed is a hard error, never a silent skip. The installed
+// verifier consults the analysis library's load-analysis cache
+// (analysis::load_analysis): an image accepted before is not analyzed
+// again, and a rejected image is analyzed and rejected on every run.
 #pragma once
 
 #include <cstdint>

@@ -113,5 +113,26 @@ TEST(FeatureKernel, CyclesScaleLinearlyWithBeats) {
   EXPECT_LT(per_beat, 20.0);
 }
 
+TEST(FeatureKernel, RepeatCallsReturnIdenticalResultsAndBounds) {
+  // The program is assembled once per process; the WCET loop bound still
+  // follows each call's series length.
+  iw::Rng rng(7);
+  const auto rr = random_rr_ms(40, rng);
+  const auto longer = random_rr_ms(80, rng);
+  const HrvKernelResult first = run_hrv_kernel(rr);
+  const HrvKernelResult other = run_hrv_kernel(longer);
+  const HrvKernelResult second = run_hrv_kernel(rr);
+  EXPECT_EQ(first.values.rmssd_q4_ms, second.values.rmssd_q4_ms);
+  EXPECT_EQ(first.values.sdsd_q4_ms, second.values.sdsd_q4_ms);
+  EXPECT_EQ(first.values.nn50, second.values.nn50);
+  EXPECT_EQ(first.cycles, second.cycles);
+  EXPECT_EQ(first.instructions, second.instructions);
+  EXPECT_EQ(first.static_min_cycles, second.static_min_cycles);
+  EXPECT_EQ(first.static_max_cycles, second.static_max_cycles);
+  EXPECT_EQ(first.static_stack_bytes, second.static_stack_bytes);
+  EXPECT_GT(other.static_max_cycles, first.static_max_cycles);
+  EXPECT_LE(other.cycles, other.static_max_cycles);
+}
+
 }  // namespace
 }  // namespace iw::kernels

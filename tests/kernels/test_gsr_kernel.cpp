@@ -98,5 +98,28 @@ TEST(GsrKernel, Validation) {
   EXPECT_THROW(run_gsr_kernel(negative), Error);
 }
 
+TEST(GsrKernel, RepeatCallsReturnIdenticalResultsAndBounds) {
+  // The program is assembled once per process; the WCET loop bound still
+  // follows each call's series length.
+  iw::Rng rng(10);
+  const auto q8 = to_q8(bio::synthesize_gsr(
+      bio::gsr_params_for(bio::StressLevel::kHigh), 20.0, rng).samples);
+  const auto longer = to_q8(bio::synthesize_gsr(
+      bio::gsr_params_for(bio::StressLevel::kHigh), 40.0, rng).samples);
+  const GsrKernelResult first = run_gsr_kernel(q8);
+  const GsrKernelResult other = run_gsr_kernel(longer);
+  const GsrKernelResult second = run_gsr_kernel(q8);
+  EXPECT_EQ(first.values.slope_count, second.values.slope_count);
+  EXPECT_EQ(first.values.total_height_q8, second.values.total_height_q8);
+  EXPECT_EQ(first.values.total_length_samples, second.values.total_length_samples);
+  EXPECT_EQ(first.cycles, second.cycles);
+  EXPECT_EQ(first.instructions, second.instructions);
+  EXPECT_EQ(first.static_min_cycles, second.static_min_cycles);
+  EXPECT_EQ(first.static_max_cycles, second.static_max_cycles);
+  EXPECT_EQ(first.static_stack_bytes, second.static_stack_bytes);
+  EXPECT_GT(other.static_max_cycles, first.static_max_cycles);
+  EXPECT_LE(other.cycles, other.static_max_cycles);
+}
+
 }  // namespace
 }  // namespace iw::kernels
