@@ -13,7 +13,7 @@
 //           cohort kernel, sharing segment tables, the detection-gate window
 //           and policy objects across the shard
 // then sweeps the runner across the SIMD tiers this build + host can run
-// (off, and avx2 where usable) at one thread, five alternating rounds per
+// (off, plus avx2 and avx512 where usable) at one thread, five alternating rounds per
 // tier reported as median, min and max. Reports device-days/sec, the
 // fast-vs-engine / cohort-vs-fast / simd-vs-scalar speedups, and the
 // runner's thread scaling; cross-checks the determinism invariants in-run
@@ -63,9 +63,10 @@ std::uint64_t fnv1a(const std::string& s) {
 }
 
 std::vector<iw::simd::Tier> runnable_tiers() {
-  std::vector<iw::simd::Tier> tiers = {iw::simd::Tier::kOff};
-  if (iw::simd::tier_usable(iw::simd::Tier::kAvx2)) {
-    tiers.push_back(iw::simd::Tier::kAvx2);
+  std::vector<iw::simd::Tier> tiers;
+  for (const iw::simd::Tier tier :
+       {iw::simd::Tier::kOff, iw::simd::Tier::kAvx2, iw::simd::Tier::kAvx512}) {
+    if (iw::simd::tier_usable(tier)) tiers.push_back(tier);
   }
   return tiers;
 }
@@ -196,13 +197,13 @@ int run_bench(int argc, char** argv) {
   json.add("simd_tier", iw::simd::tier_name(iw::simd::active_tier()));
   json.add("compiler", __VERSION__);
 
-  std::printf("%16s %8s %16s %10s %12s\n", "path", "threads", "dev-days/sec",
+  std::printf("%18s %8s %16s %10s %12s\n", "path", "threads", "dev-days/sec",
               "speedup", "efficiency");
   const auto report = [&](const char* name, int threads, const Run& run,
                           double base_ddps) {
     const double speedup = base_ddps > 0.0 ? run.device_days_per_sec / base_ddps : 0.0;
     const double efficiency = speedup / threads;
-    std::printf("%16s %8d %16.1f %9.2fx %11.1f%%\n", name, threads,
+    std::printf("%18s %8d %16.1f %9.2fx %11.1f%%\n", name, threads,
                 run.device_days_per_sec, speedup, 100.0 * efficiency);
     const std::string prefix = std::string(name) + "_t" + std::to_string(threads);
     json.add(prefix + "_device_days_per_sec", run.device_days_per_sec);
@@ -252,7 +253,7 @@ int run_bench(int argc, char** argv) {
   for (std::size_t t = 0; t < tiers.size(); ++t) {
     const Spread s = spread(tier_ddps[t]);
     const std::string label = std::string("cohort tier=") + iw::simd::tier_name(tiers[t]);
-    std::printf("%16s %8d %16.1f %9.2fx   (min %.1f, max %.1f over %d)\n", label.c_str(),
+    std::printf("%18s %8d %16.1f %9.2fx   (min %.1f, max %.1f over %d)\n", label.c_str(),
                 1, s.median, s.median / off.median, s.min, s.max, kTierReps);
     const std::string prefix =
         "cohort_tier_" + std::string(iw::simd::tier_name(tiers[t])) + "_t1_device_days_per_sec";

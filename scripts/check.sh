@@ -6,15 +6,15 @@
 # flags of iw_fleetd, iw_lint, the fleet bench and fleet_week, a checkpoint
 # over its own resume file, an IW_SIMD value that names no tier), the
 # trace/interpreter bit-identity smoke, the fleet SIMD-tier bit-identity
-# smoke (its digest pinned, in the SIMD build and in a portable
-# -DIW_SIMD=OFF build — the cross-build half of the bit-exactness
-# contract), an UndefinedBehaviorSanitizer pass over the platform/fleet suites, the
-# SIMD parity suites and the superblock-trace suite (the fast-path day
-# kernel, per-worker scratch reuse, the intrinsic packs and the
-# direct-threaded trace executor are where a stale-pointer or aliasing bug
-# would live), a ThreadSanitizer pass over the concurrent fleet/platform
-# layers, the kernel runner's compile memo and the rvsim load-analysis
-# cache, and clang-tidy when available.
+# smoke (its digest pinned under IW_SIMD=off, avx2 and avx512, in the SIMD
+# build and in a portable -DIW_SIMD=OFF build — the cross-build half of the
+# bit-exactness contract), an UndefinedBehaviorSanitizer pass over the
+# platform/fleet suites, the SIMD parity suites and the superblock-trace
+# suite (the fast-path day kernel, per-worker scratch reuse, the intrinsic
+# packs and the direct-threaded trace executor are where a stale-pointer or
+# aliasing bug would live), a ThreadSanitizer pass over the concurrent
+# fleet/platform layers, the kernel runner's compile memo and the rvsim
+# load-analysis cache, and clang-tidy when available.
 #
 # Usage: scripts/check.sh            # from the repository root
 #
@@ -124,21 +124,26 @@ if [ "$status" -ne 2 ]; then
   echo "FAIL: bench_fleet_throughput --devices 10x exited $status, not 2"
   exit 1
 fi
-# IW_SIMD accepts off and avx2; any other value is refused, not widened.
+# IW_SIMD accepts off, avx2 and avx512; any other value is refused, not
+# widened.
 simd_dir=$(mktemp -d)
 status=0
 IW_SIMD=sse2 ./build/tools/iw_fleetd --smoke >/dev/null 2>"$simd_dir/err.txt" || status=$?
-if [ "$status" -eq 0 ] || ! grep -q 'IW_SIMD=sse2 is not a SIMD tier; accepted: off, avx2' \
+if [ "$status" -eq 0 ] || ! grep -q 'IW_SIMD=sse2 is not a SIMD tier; accepted: off, avx2, avx512' \
     "$simd_dir/err.txt"; then
   echo "FAIL: IW_SIMD=sse2 iw_fleetd --smoke exited $status:"
   cat "$simd_dir/err.txt"
   exit 1
 fi
-IW_SIMD=off ./build/bench/bench_fleet_throughput --smoke >"$simd_dir/off.txt"
-if ! grep -q "smoke digest: $smoke_digest" "$simd_dir/off.txt"; then
-  echo "FAIL: IW_SIMD=off fleet smoke digest is not the pinned $smoke_digest"
-  exit 1
-fi
+# The default is the widest usable tier, so each tier gets its own pinned
+# run (a tier the host cannot run clamps down to the next one).
+for tier in off avx2 avx512; do
+  IW_SIMD=$tier ./build/bench/bench_fleet_throughput --smoke >"$simd_dir/$tier.txt"
+  if ! grep -q "smoke digest: $smoke_digest" "$simd_dir/$tier.txt"; then
+    echo "FAIL: IW_SIMD=$tier fleet smoke digest is not the pinned $smoke_digest"
+    exit 1
+  fi
+done
 rm -rf "$simd_dir"
 for args in "10x" "0" "12 0" "12 3 x"; do
   status=0
@@ -168,7 +173,7 @@ echo "== portable build (-DIW_SIMD=OFF) must reproduce the same bytes =="
 cmake -B build-nosimd -S . -DIW_SIMD=OFF >/dev/null
 cmake --build build-nosimd -j "$(nproc)" \
   --target bench_fleet_throughput test_cohort_simd test_fleet_simd
-# Without the avx2 tier the tier-parity tests skip or compare off only;
+# Without the vector tiers the tier-parity tests skip or compare off only;
 # they must not fail.
 ./build-nosimd/tests/test_cohort_simd
 ./build-nosimd/tests/test_fleet_simd
@@ -184,6 +189,9 @@ echo "== clang-tidy (skipped automatically when not installed) =="
 scripts/tidy.sh
 
 echo
+# test_cohort_simd and test_fleet_simd hold the avx2 and avx512 tiers to the
+# scalar oracle, so both tiers run under each sanitizer on a host that has
+# them.
 echo "== UBSan pass (platform + fleet + trace suites) =="
 cmake -B build-ubsan -S . -DIW_SANITIZE=undefined >/dev/null
 cmake --build build-ubsan -j "$(nproc)" \

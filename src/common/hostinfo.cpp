@@ -71,6 +71,10 @@ std::string cpu_simd_features() {
     if (!features.empty()) features += ' ';
     features += "avx2";
   }
+  if (__builtin_cpu_supports("avx512f")) {
+    if (!features.empty()) features += ' ';
+    features += "avx512f";
+  }
 #endif
   return features.empty() ? "none" : features;
 }

@@ -18,7 +18,7 @@ std::uint64_t peak_rss_bytes();
 std::string cpu_model();
 
 /// Space-separated ISA feature summary relevant to the SIMD tiers, probed at
-/// runtime (e.g. "sse2 avx2"); "none" when neither is available.
+/// runtime (e.g. "sse2 avx2 avx512f"); "none" when none is available.
 std::string cpu_simd_features();
 
 }  // namespace iw::hostinfo

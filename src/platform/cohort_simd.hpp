@@ -12,9 +12,13 @@
 // Bit-exactness is by construction: lanes only ever share *instructions*,
 // never operands, and every vector statement is the same IEEE operation in
 // the same order as the scalar kernel (see cohort_simd_impl.hpp for the
-// statement-by-statement argument). The AVX2 translation unit is compiled
-// with -ffp-contract=off so no fused multiply-add can be introduced behind
-// the wrapper's back.
+// statement-by-statement argument). Each tier's translation unit is
+// compiled with -ffp-contract=off so no fused multiply-add can be introduced
+// behind the wrapper's back.
+//
+// Two tiers instantiate that one kernel: AVX2 (4 lanes per pack) and
+// AVX-512 (8 lanes per pack). The AVX-512 tier consumes 16- and 8-lane
+// blocks and hands a tail of fewer than 8 lanes to the AVX2 4-lane block.
 #pragma once
 
 #include <cstddef>
@@ -23,15 +27,16 @@ namespace iw::platform::detail {
 
 struct CohortGroupRefs;
 
-/// Runs the AVX2 kernel when simd::active_tier() is avx2; returns the number
-/// of register-eligible lanes consumed (0 when the tier is off or the build
-/// excludes SIMD kernels).
+/// Runs the kernel of simd::active_tier() (avx2, or avx512 followed by an
+/// avx2 tail); returns the number of register-eligible lanes consumed (0
+/// when the tier is off or the build excludes SIMD kernels).
 std::size_t run_cohort_group_simd(const CohortGroupRefs& refs);
 
-/// The AVX2 entry point, defined in its own translation unit so the AVX2
-/// code can be compiled with -mavx2 without contaminating baseline TUs. A
-/// compiler without -mavx2 gets a stub returning 0; the dispatcher never
-/// selects it there.
+/// The per-tier entry points, each defined in its own translation unit so
+/// its code can be compiled with -mavx2 / -mavx512f without contaminating
+/// baseline TUs. A compiler without the flag gets a stub returning 0; the
+/// dispatcher never selects it there.
 std::size_t run_cohort_group_simd_avx2(const CohortGroupRefs& refs);
+std::size_t run_cohort_group_simd_avx512(const CohortGroupRefs& refs);
 
 }  // namespace iw::platform::detail

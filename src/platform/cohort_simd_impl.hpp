@@ -1,6 +1,8 @@
 // Implementation of the SIMD cohort day kernel, written against the pack
-// interface of common/simd.hpp and instantiated once, with f64x4, by the
-// AVX2 translation unit (cohort_simd_avx2.cpp).
+// interface of common/simd.hpp and instantiated twice: with f64x4 by the
+// AVX2 translation unit (cohort_simd_avx2.cpp) and with f64x8 by the AVX-512
+// one (cohort_simd_avx512.cpp). Both run this one vector schedule; only the
+// pack width differs.
 //
 // Bit-exactness argument. The kernel is the register-resident lane kernel of
 // device.cpp (run_cohort_reg_lanes) with the per-lane loops turned into
@@ -9,7 +11,7 @@
 //   * Every arithmetic statement is the same IEEE-754 expression, in the
 //     same order, on the same per-lane operands as the scalar kernel.
 //     Vector add/sub/mul/div are correctly rounded per lane, so each lane's
-//     bits equal the scalar chain's bits. The AVX2 TU is compiled with
+//     bits equal the scalar chain's bits. Each tier TU is compiled with
 //     -ffp-contract=off, so the compiler cannot fuse a mul+add the scalar
 //     kernel keeps separate (and the scalar kernel's own TU never enables
 //     FMA, so neither side contracts).
@@ -168,13 +170,14 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
   const DetectionPolicy* pol[N];
   PolicyEval pev[N];
   // Hoisted per-lane constants — each the exact expression the per-op scalar
-  // code evaluates from the same operands (see run_cohort_reg_lanes).
-  alignas(32) double cap_c[N], eff[N], tick_s[N], sleep_w[N], det_pw[N], det_dur[N];
-  alignas(32) double need[N], complete[N], gate_lo[N], gate_hi[N], period[N];
-  alignas(32) double peva[N], pevb[N], pevc[N], pevd[N];
+  // code evaluates from the same operands (see run_cohort_reg_lanes). The
+  // lane arrays are cache-line aligned, so no pack load splits a line.
+  alignas(64) double cap_c[N], eff[N], tick_s[N], sleep_w[N], det_pw[N], det_dur[N];
+  alignas(64) double need[N], complete[N], gate_lo[N], gate_hi[N], period[N];
+  alignas(64) double peva[N], pevb[N], pevc[N], pevd[N];
   // Day state, lane-major so every pack is one contiguous vector.
-  alignas(32) double soc[N], v[N], sm[N], min_soc[N], harvested[N], consumed[N];
-  alignas(32) double detect_t[N];
+  alignas(64) double soc[N], v[N], sm[N], min_soc[N], harvested[N], consumed[N];
+  alignas(64) double detect_t[N];
   std::uint64_t attempted[N], completed[N], skipped[N];
   std::uint64_t dseq[N], hseq[N], nseq[N];
   std::uint8_t alive[N];
@@ -485,7 +488,7 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
       if (midb != 0u) {
         // Rare exact-gate window: same shared stored-energy evaluation as the
         // scalar path, on the current register SoC.
-        alignas(32) double sbuf[W];
+        alignas(64) double sbuf[W];
         V::store(sbuf, s);
         do {
           const int w = __builtin_ctz(midb);
@@ -600,7 +603,7 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
       const int base = p * W;
       // harvest_tick_env across the pack; the intake comes from the shared
       // per-segment tables (the same pure evaluation as the scalar cache).
-      alignas(32) double ibuf[W];
+      alignas(64) double ibuf[W];
       for (int w = 0; w < W; ++w) ibuf[w] = intake[base + w][segs[base + w][k]];
       const V in = V::load(ibuf);
       V::store(sm + base,
@@ -678,13 +681,14 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
   }
 }
 
-/// Consumes register-eligible lanes in blocks of 16/8/4(/2), widest first,
-/// mirroring the scalar ladder; returns the number of lanes consumed (a
-/// multiple of the pack width — the tail takes the scalar ladder).
+/// Consumes register-eligible lanes in blocks of 16/8(/4), widest first and
+/// never narrower than the pack, mirroring the scalar ladder; returns the
+/// number of lanes consumed (a multiple of the pack width — the dispatcher
+/// hands the tail to a narrower tier or the scalar ladder).
 template <class V>
 std::size_t run_cohort_simd_ladder(const CohortGroupRefs& refs) {
   constexpr std::size_t W = static_cast<std::size_t>(V::kWidth);
-  static_assert(W == 2 || W == 4, "pack widths supported by the ladder");
+  static_assert(W == 4 || W == 8, "pack widths supported by the ladder");
   const std::size_t n = refs.num_reg_lanes;
   std::size_t j = 0;
   for (; j + 16 <= n; j += 16) {
@@ -694,14 +698,10 @@ std::size_t run_cohort_simd_ladder(const CohortGroupRefs& refs) {
     run_cohort_simd_block<V, static_cast<int>(8 / W)>(refs, refs.lane_ids + j);
     j += 8;
   }
-  if (j + 4 <= n) {
-    run_cohort_simd_block<V, static_cast<int>(4 / W)>(refs, refs.lane_ids + j);
-    j += 4;
-  }
-  if constexpr (W == 2) {
-    if (j + 2 <= n) {
+  if constexpr (W == 4) {
+    if (j + 4 <= n) {
       run_cohort_simd_block<V, 1>(refs, refs.lane_ids + j);
-      j += 2;
+      j += 4;
     }
   }
   return j;

@@ -17,9 +17,13 @@ namespace {
 using test::population;
 using test::runner_rows;
 
+/// Tier-off plus every vector tier this build and host can run.
 std::vector<simd::Tier> all_tiers() {
-  std::vector<simd::Tier> tiers = {simd::Tier::kOff};
-  if (simd::tier_usable(simd::Tier::kAvx2)) tiers.push_back(simd::Tier::kAvx2);
+  std::vector<simd::Tier> tiers;
+  for (const simd::Tier tier :
+       {simd::Tier::kOff, simd::Tier::kAvx2, simd::Tier::kAvx512}) {
+    if (simd::tier_usable(tier)) tiers.push_back(tier);
+  }
   return tiers;
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -344,6 +345,43 @@ TEST(LongitudinalRunner, CheckpointChainMatches) {
   EXPECT_EQ(expected, LongitudinalRunner(leg3).run().stats.serialize());
   std::remove(ckpt_a.c_str());
   std::remove(ckpt_b.c_str());
+}
+
+TEST(LongitudinalRunner, CheckpointOverAnExistingFileMatchesAFreshPath) {
+  // The runner replaces an existing regular file rather than truncating it
+  // in place; the bytes must be those of a checkpoint written to a path that
+  // did not exist, with nothing left over from the longer file it replaced.
+  // A symlink is still written through to its target.
+  LongitudinalConfig base;
+  base.num_devices = 60;
+  base.fleet_seed = 8;
+  base.days = 3;
+  base.checkpoint_day = 1;
+  const std::string fresh = testing::TempDir() + "iw_long_fresh.ckpt";
+  const std::string over = testing::TempDir() + "iw_long_over.ckpt";
+  const std::string link = testing::TempDir() + "iw_long_link.ckpt";
+  std::remove(fresh.c_str());
+  std::remove(link.c_str());
+  LongitudinalConfig leg = base;
+  leg.checkpoint_path = fresh;
+  LongitudinalRunner(leg).run();
+  const std::string expected = file_bytes(fresh);
+  ASSERT_FALSE(expected.empty());
+
+  std::ofstream(over, std::ios::binary) << std::string(expected.size() * 2, 'x');
+  leg.checkpoint_path = over;
+  LongitudinalRunner(leg).run();
+  EXPECT_EQ(expected, file_bytes(over));
+
+  std::ofstream(over, std::ios::binary) << "stale";
+  std::filesystem::create_symlink(over, link);
+  leg.checkpoint_path = link;
+  LongitudinalRunner(leg).run();
+  EXPECT_TRUE(std::filesystem::is_symlink(link));
+  EXPECT_EQ(expected, file_bytes(over));
+  std::remove(fresh.c_str());
+  std::remove(over.c_str());
+  std::remove(link.c_str());
 }
 
 TEST(LongitudinalRunner, ResumeRejectsMismatchedPopulation) {

@@ -1,14 +1,17 @@
-// SIMD tier parity for the cohort day kernel (DESIGN.md §15): the avx2 tier
-// and tier-off must reproduce the scalar oracle bit for bit, lane by lane —
-// across cohort sizes straddling the pack width (1, 2, 3, 4, 5 around W = 4,
-// plus 15/17/31/33 around the larger block sizes), across the policy mix
+// SIMD tier parity for the cohort day kernel (DESIGN.md §15): tier-off, the
+// avx2 tier and the avx512 tier must each reproduce the scalar oracle bit for
+// bit, lane by lane — across cohort sizes straddling the pack widths (1-5
+// around W = 4, 7/8/9/12 around W = 8 and the avx512 tier's 4-lane avx2
+// tail, plus 15/17/31/33 around the 16-lane blocks), across the policy mix
 // that selects each drain mode (lockstep, vectorized rounds, scalar), and
 // with register-ineligible lanes (trace recording) interleaved so the SIMD
-// prefix/general-sweep split itself is exercised.
+// prefix/general-sweep split itself is exercised. Each vector tier has its
+// own tests, which skip with the reason when the tier is not usable.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -76,12 +79,11 @@ DaySimulationResult run_oracle(const Case& c) {
              : simulate_day_fast(c.config, shared_harvester(), c.profile);
 }
 
-/// Why the parity tests skip without the avx2 tier: tier-off alone runs the
-/// scalar cohort kernel, which test_cohort_day already holds to the oracle.
-constexpr const char* kNoAvx2 =
-    "avx2 tier not usable in this build/host: no SIMD tier to compare";
-
-constexpr simd::Tier kTiers[] = {simd::Tier::kOff, simd::Tier::kAvx2};
+/// Why a tier's parity tests skip: the tier's kernel is not in this build or
+/// the host cannot run it. Tier-off alone runs the scalar cohort kernel,
+/// which test_cohort_day already holds to the oracle.
+constexpr const char* kNoAvx2 = "avx2 tier not usable in this build/host";
+constexpr const char* kNoAvx512 = "avx512 tier not usable in this build/host";
 
 struct TierGuard {
   ~TierGuard() { simd::clear_override(); }
@@ -140,19 +142,21 @@ void run_cohorts(const std::vector<Case>& cases, std::size_t cohort_size,
   }
 }
 
-TEST(CohortSimd, TiersMatchOracleAcrossPackBoundarySizes) {
-  if (!simd::tier_usable(simd::Tier::kAvx2)) GTEST_SKIP() << kNoAvx2;
+/// Runs the pool at every cohort size under each tier of `tiers` and holds
+/// every lane to the oracle.
+void expect_tiers_match_oracle_across_sizes(std::initializer_list<simd::Tier> tiers) {
   const std::vector<Case> cases = eligible_case_pool(2);  // 5 x 2 x 4 = 40
   std::vector<DaySimulationResult> oracle(cases.size());
   for (std::size_t i = 0; i < cases.size(); ++i) oracle[i] = run_oracle(cases[i]);
 
   TierGuard guard;
   std::vector<DaySimulationResult> results(cases.size());
-  for (const std::size_t size : {std::size_t{1}, std::size_t{2}, std::size_t{3},
-                                 std::size_t{4}, std::size_t{5}, std::size_t{15},
-                                 std::size_t{17}, std::size_t{31},
-                                 std::size_t{33}}) {
-    for (const simd::Tier tier : kTiers) {
+  for (const std::size_t size :
+       {std::size_t{1}, std::size_t{2}, std::size_t{3}, std::size_t{4},
+        std::size_t{5}, std::size_t{7}, std::size_t{8}, std::size_t{9},
+        std::size_t{12}, std::size_t{15}, std::size_t{17}, std::size_t{31},
+        std::size_t{33}}) {
+    for (const simd::Tier tier : tiers) {
       simd::override_tier(tier);
       run_cohorts(cases, size, results);
       for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -165,11 +169,10 @@ TEST(CohortSimd, TiersMatchOracleAcrossPackBoundarySizes) {
   }
 }
 
-TEST(CohortSimd, MixedEligibleAndIneligibleLanesInOneCohort) {
-  if (!simd::tier_usable(simd::Tier::kAvx2)) GTEST_SKIP() << kNoAvx2;
-  // Alternate trace-recording (register-ineligible) and plain lanes so every
-  // cohort splits between the SIMD prefix and the general sweep; the split
-  // must not change either side's bits.
+/// Alternates trace-recording (register-ineligible) and plain lanes so every
+/// cohort splits between the SIMD prefix and the general sweep; the split
+/// must not change either side's bits under any tier of `tiers`.
+void expect_mixed_lanes_match_oracle(std::initializer_list<simd::Tier> tiers) {
   std::vector<Case> cases = eligible_case_pool(1);  // 20 lanes
   for (std::size_t i = 0; i < cases.size(); i += 2) {
     cases[i].config.record_trace = true;
@@ -180,7 +183,7 @@ TEST(CohortSimd, MixedEligibleAndIneligibleLanesInOneCohort) {
 
   TierGuard guard;
   std::vector<DaySimulationResult> results(cases.size());
-  for (const simd::Tier tier : kTiers) {
+  for (const simd::Tier tier : tiers) {
     simd::override_tier(tier);
     run_cohorts(cases, cases.size(), results);  // one cohort holds them all
     for (std::size_t i = 0; i < cases.size(); ++i) {
@@ -189,6 +192,26 @@ TEST(CohortSimd, MixedEligibleAndIneligibleLanesInOneCohort) {
                                simd::tier_name(tier));
     }
   }
+}
+
+TEST(CohortSimd, TiersMatchOracleAcrossPackBoundarySizes) {
+  if (!simd::tier_usable(simd::Tier::kAvx2)) GTEST_SKIP() << kNoAvx2;
+  expect_tiers_match_oracle_across_sizes({simd::Tier::kOff, simd::Tier::kAvx2});
+}
+
+TEST(CohortSimd, Avx512MatchesOracleAcrossPackBoundarySizes) {
+  if (!simd::tier_usable(simd::Tier::kAvx512)) GTEST_SKIP() << kNoAvx512;
+  expect_tiers_match_oracle_across_sizes({simd::Tier::kAvx512});
+}
+
+TEST(CohortSimd, MixedEligibleAndIneligibleLanesInOneCohort) {
+  if (!simd::tier_usable(simd::Tier::kAvx2)) GTEST_SKIP() << kNoAvx2;
+  expect_mixed_lanes_match_oracle({simd::Tier::kOff, simd::Tier::kAvx2});
+}
+
+TEST(CohortSimd, Avx512MixedEligibleAndIneligibleLanesInOneCohort) {
+  if (!simd::tier_usable(simd::Tier::kAvx512)) GTEST_SKIP() << kNoAvx512;
+  expect_mixed_lanes_match_oracle({simd::Tier::kAvx512});
 }
 
 }  // namespace

@@ -116,11 +116,21 @@ TEST_P(EncodingRoundTrip, EncodeDecodeIdentity) {
     }
     const Decoded back = decode(encode(d));
     EXPECT_EQ(back.op, d.op);
-    if (c.has_rd) EXPECT_EQ(back.rd, d.rd);
-    if (c.has_rs1) EXPECT_EQ(back.rs1, d.rs1);
-    if (c.has_rs2) EXPECT_EQ(back.rs2, d.rs2);
-    if (c.has_rs3) EXPECT_EQ(back.rs3, d.rs3);
-    if (c.imm_step != 0) EXPECT_EQ(back.imm, d.imm);
+    if (c.has_rd) {
+      EXPECT_EQ(back.rd, d.rd);
+    }
+    if (c.has_rs1) {
+      EXPECT_EQ(back.rs1, d.rs1);
+    }
+    if (c.has_rs2) {
+      EXPECT_EQ(back.rs2, d.rs2);
+    }
+    if (c.has_rs3) {
+      EXPECT_EQ(back.rs3, d.rs3);
+    }
+    if (c.imm_step != 0) {
+      EXPECT_EQ(back.imm, d.imm);
+    }
   }
 }
 

@@ -19,12 +19,6 @@ std::uint32_t bits_of(float f) {
   return b;
 }
 
-float float_of(std::uint32_t b) {
-  float f;
-  std::memcpy(&f, &b, 4);
-  return f;
-}
-
 /// Runs `op f2, f0, f1` and returns the result's bit pattern.
 std::uint32_t run_fp_binary(const std::string& mnemonic, float a, float b) {
   const asmx::Program program = asmx::assemble(
