@@ -8,7 +8,8 @@
 # trace/interpreter bit-identity smoke, the fleet SIMD-tier bit-identity
 # smoke (its digest pinned under IW_SIMD=off, avx2 and avx512, in the SIMD
 # build and in a portable -DIW_SIMD=OFF build — the cross-build half of the
-# bit-exactness contract), an UndefinedBehaviorSanitizer pass over the
+# bit-exactness contract), a 5000-device iw_fleetd checkpoint compared byte
+# for byte across the same tiers and builds, an UndefinedBehaviorSanitizer pass over the
 # platform/fleet suites, the SIMD parity suites and the superblock-trace
 # suite (the fast-path day kernel, per-worker scratch reuse, the intrinsic
 # packs and the direct-threaded trace executor are where a stale-pointer or
@@ -172,7 +173,7 @@ echo
 echo "== portable build (-DIW_SIMD=OFF) must reproduce the same bytes =="
 cmake -B build-nosimd -S . -DIW_SIMD=OFF >/dev/null
 cmake --build build-nosimd -j "$(nproc)" \
-  --target bench_fleet_throughput test_cohort_simd test_fleet_simd
+  --target bench_fleet_throughput test_cohort_simd test_fleet_simd iw_fleetd
 # Without the vector tiers the tier-parity tests skip or compare off only;
 # they must not fail.
 ./build-nosimd/tests/test_cohort_simd
@@ -183,6 +184,29 @@ if ! grep -q "smoke digest: $smoke_digest" /tmp/iw_smoke_nosimd.txt; then
   exit 1
 fi
 echo "portable build matches SIMD build ($smoke_digest)"
+
+echo
+echo "== cross-tier checkpoint at population scale (5000 devices x 2 days) =="
+# The smoke populations hold about one lane per (policy, period, archetype)
+# bucket, so they never form a shape-uniform pack; this population does. Its
+# day-2 checkpoint must be the same bytes under every tier and in the
+# portable build.
+pop_dir=$(mktemp -d)
+pop_args=(--devices 5000 --days 2 --threads 4 --checkpoint-day 2)
+for tier in off avx2 avx512; do
+  IW_SIMD=$tier ./build/tools/iw_fleetd "${pop_args[@]}" \
+    --checkpoint "$pop_dir/$tier.ckpt" >/dev/null
+done
+./build-nosimd/tools/iw_fleetd "${pop_args[@]}" \
+  --checkpoint "$pop_dir/portable.ckpt" >/dev/null
+for other in avx2 avx512 portable; do
+  if ! cmp "$pop_dir/off.ckpt" "$pop_dir/$other.ckpt"; then
+    echo "FAIL: the $other checkpoint differs from IW_SIMD=off"
+    exit 1
+  fi
+done
+rm -rf "$pop_dir"
+echo "checkpoints byte-identical across off, avx2, avx512 and the portable build"
 
 echo
 echo "== clang-tidy (skipped automatically when not installed) =="

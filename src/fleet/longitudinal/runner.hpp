@@ -139,6 +139,9 @@ class ShardSimulator {
   /// Snapshots every lane's cross-day state at the current day boundary.
   void save_checkpoints(std::vector<DeviceCheckpoint>& out) const;
 
+  /// The shard's cohort day kernel (its cache sizes and pack counters).
+  const platform::CohortDayState& cohort() const { return cohort_; }
+
  private:
   void setup(std::span<const Scenario> scenarios);
   const platform::DetectionPolicy* policy_for(const Scenario& scenario);

@@ -17,18 +17,18 @@ namespace iw::platform {
 // detection stream has no harvest event left to compare against and simply
 // runs out to the horizon.
 
-const CohortDayState::Shape& CohortDayState::shape_for(const hv::DayProfile& profile,
-                                                       double tick_s,
-                                                       double horizon) {
-  for (const auto& shape : shapes_) {
-    if (shape->tick_s == tick_s && shape->horizon == horizon &&
-        shape->durations.size() == profile.size() &&
-        std::equal(shape->durations.begin(), shape->durations.end(),
+std::uint32_t CohortDayState::shape_for(const hv::DayProfile& profile, double tick_s,
+                                        double horizon) {
+  for (std::size_t id = 0; id < shapes_.size(); ++id) {
+    const Shape& shape = *shapes_[id];
+    if (shape.tick_s == tick_s && shape.horizon == horizon &&
+        shape.durations.size() == profile.size() &&
+        std::equal(shape.durations.begin(), shape.durations.end(),
                    profile.begin(),
                    [](double d, const hv::EnvironmentSegment& seg) {
                      return d == seg.duration_s;
                    })) {
-      return *shape;
+      return static_cast<std::uint32_t>(id);
     }
   }
   auto shape = std::make_unique<Shape>();
@@ -51,8 +51,9 @@ const CohortDayState::Shape& CohortDayState::shape_for(const hv::DayProfile& pro
     shape->segs.push_back(seg);
     shape->seg_used[seg] = 1;
   }
+  shape_segments_.push_back(static_cast<std::uint32_t>(profile.size()));
   shapes_.push_back(std::move(shape));
-  return *shapes_.back();
+  return static_cast<std::uint32_t>(shapes_.size() - 1);
 }
 
 void CohortDayState::reserve_lanes(std::size_t n) {
@@ -60,6 +61,7 @@ void CohortDayState::reserve_lanes(std::size_t n) {
   policy_.reserve(n);
   policy_eval_.reserve(n);
   seg_table_.reserve(n);
+  shape_id_.reserve(n);
   intake_store_.reserve(n);
   intake_table_.reserve(n);
   reg_ok_.reserve(n);
@@ -76,6 +78,7 @@ void CohortDayState::run_day(std::span<const CohortMember> members) {
   policy_.resize(std::max(policy_.size(), n));
   policy_eval_.resize(std::max(policy_eval_.size(), n));
   seg_table_.resize(std::max(seg_table_.size(), n));
+  shape_id_.resize(std::max(shape_id_.size(), n));
   intake_store_.resize(std::max(intake_store_.size(), n));
   intake_table_.resize(std::max(intake_table_.size(), n));
   reg_ok_.resize(std::max(reg_ok_.size(), n));
@@ -107,8 +110,8 @@ void CohortDayState::run_day(std::span<const CohortMember> members) {
     next_seq_[i] = 2;
     detect_alive_[i] = 1;
 
-    const Shape& shape =
-        shape_for(*m.profile, m.config->harvest_tick_s, lanes_[i].horizon);
+    shape_id_[i] = shape_for(*m.profile, m.config->harvest_tick_s, lanes_[i].horizon);
+    const Shape& shape = *shapes_[shape_id_[i]];
     seg_table_[i] = shape.segs.data();
     // Per-lane per-segment intake table for the register-resident day loop:
     // the same pure harvester evaluation the scalar per-segment cache makes
@@ -155,10 +158,17 @@ void CohortDayState::run_day(std::span<const CohortMember> members) {
     // cluster by period too: a policy's rate band derives from its period,
     // so same-period packs attempt at similar rates and the masked due
     // rounds run near-full instead of idling on the slow lanes (detect_t_
-    // is seeded to the period at this point — see the member init above). Pure
-    // processing-order change — lanes are mutually independent, so each
-    // lane's own event sequence (and therefore its bits) is untouched; the
-    // stable sort keeps it deterministic.
+    // is seeded to the period at this point — see the member init above).
+    // Within a period, lanes cluster by profile shape (its first-appearance
+    // index in shapes_, never the pointer, so the order is reproducible) and
+    // then by starting SoC. Same-shape packs share one segment timeline:
+    // their intake loads as one vector, a night tick leaves the whole pack's
+    // charge mask empty so the charge divides are skipped, and energy-
+    // neutral lanes with similar intake and SoC pick similar intervals, so
+    // their due rounds run fuller. Pure processing-order change — lanes are
+    // mutually independent, so each lane's own event sequence (and
+    // therefore its bits) is untouched; the stable sort keeps it
+    // deterministic.
     std::stable_sort(group.lanes.begin(), group.lanes.end(),
                      [&](std::size_t a, std::size_t b) {
                        if (reg_ok_[a] != reg_ok_[b]) return reg_ok_[a] > reg_ok_[b];
@@ -169,7 +179,9 @@ void CohortDayState::run_day(std::span<const CohortMember> members) {
                                           ? -1
                                           : static_cast<int>(policy_eval_[b].kind);
                        if (ka != kb) return ka < kb;
-                       return detect_t_[a] < detect_t_[b];
+                       if (detect_t_[a] != detect_t_[b]) return detect_t_[a] < detect_t_[b];
+                       if (shape_id_[a] != shape_id_[b]) return shape_id_[a] < shape_id_[b];
+                       return lanes_[a].battery.soc() < lanes_[b].battery.soc();
                      });
     std::size_t num_reg = 0;
     while (num_reg < group.lanes.size() && reg_ok_[group.lanes[num_reg]] != 0) {
@@ -184,6 +196,8 @@ void CohortDayState::run_day(std::span<const CohortMember> members) {
     refs.num_ticks = group.shape->times.size();
     refs.seg_tables = seg_table_.data();
     refs.intake_tables = intake_table_.data();
+    refs.shape_ids = shape_id_.data();
+    refs.shape_segments = shape_segments_.data();
     refs.policies = policy_.data();
     refs.policy_evals = policy_eval_.data();
     refs.detect_t = detect_t_.data();
@@ -191,6 +205,7 @@ void CohortDayState::run_day(std::span<const CohortMember> members) {
     refs.harvest_seq = harvest_seq_.data();
     refs.next_seq = next_seq_.data();
     refs.detect_alive = detect_alive_.data();
+    refs.pack_stats = &pack_stats_;
     detail::run_cohort_group(refs);
   }
 }

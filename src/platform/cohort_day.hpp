@@ -79,6 +79,10 @@ class CohortDayState {
   std::size_t shape_cache_size() const { return shapes_.size(); }
   std::size_t gate_cache_size() const { return gate_cache_.size(); }
 
+  /// SIMD pack counters summed over every run_day of this cohort (all zero
+  /// when the SIMD tier is off); see CohortPackStats.
+  const CohortPackStats& pack_stats() const { return pack_stats_; }
+
  private:
   /// Tick schedule of one profile shape: the engine's accumulated tick times
   /// plus the profile segment index each tick samples. Shared by every lane
@@ -104,11 +108,14 @@ class CohortDayState {
     std::vector<std::size_t> lanes;
   };
 
-  const Shape& shape_for(const hv::DayProfile& profile, double tick_s,
-                         double horizon);
+  /// Index into shapes_ of the profile's shape, added on first sight.
+  std::uint32_t shape_for(const hv::DayProfile& profile, double tick_s,
+                          double horizon);
 
-  // Shared caches (persist across run_day calls).
+  // Shared caches (persist across run_day calls). shape_segments_[s] is
+  // shapes_[s]'s segment count, flat for the SIMD kernel.
   std::vector<std::unique_ptr<Shape>> shapes_;
+  std::vector<std::uint32_t> shape_segments_;
   detail::DetectionGateCache gate_cache_;
 
   // Per-lane state, parallel arrays indexed by member position. The physics
@@ -120,6 +127,7 @@ class CohortDayState {
   std::vector<const DetectionPolicy*> policy_;
   std::vector<PolicyEval> policy_eval_;
   std::vector<const std::uint32_t*> seg_table_;
+  std::vector<std::uint32_t> shape_id_;
   /// Per-lane per-segment harvester intake (NaN-free only on used segments)
   /// plus the register-path eligibility verdict; see run_day.
   std::vector<std::vector<double>> intake_store_;
@@ -132,6 +140,7 @@ class CohortDayState {
   std::vector<std::uint8_t> detect_alive_;
 
   std::vector<ClockGroup> groups_;
+  CohortPackStats pack_stats_;
 };
 
 }  // namespace iw::platform

@@ -54,6 +54,11 @@
 //         scalar path) keep a per-lane scalar drain that is a verbatim copy
 //         of the scalar kernel's, behind a vector "any lane due?" pre-check
 //         that is a strict superset of the fire condition.
+//   * Intake: a pack whose lanes all run on one profile shape (the cohort
+//     sort clusters them) copies its lanes' per-segment intakes once per
+//     block into a lane-major [segment][lane] table and loads each tick's
+//     intake as one vector; mixed-shape packs gather per lane. Both read the
+//     same doubles from the same per-lane tables.
 //
 // The rare exact-gate evaluation (SoC inside the bisected window) and the
 // policy interval math still run through the single shared scalar
@@ -139,13 +144,21 @@ inline V soc_proportional_lanes(V a, V b, V c, V d, V soc) {
   return V::broadcast(60.0) / rate;
 }
 
-/// detail::energy_neutral_interval_s on W lanes. The callers guarantee
-/// need > 0 on every lane of the pack (packs violating it take the scalar
-/// drain so the scalar ensure() fires exactly as before). a = margin,
-/// b/c = min/max rate per minute, d = target SoC.
+/// The SoC-independent prefix of detail::energy_neutral_interval_s on W
+/// lanes: the sustainable rate `margin * intake / need * 60`. A drain
+/// evaluates it once, since neither the smoothed intake nor the need changes
+/// inside one. The callers guarantee need > 0 on every lane of the pack
+/// (packs violating it take the scalar drain so the scalar ensure() fires
+/// exactly as before).
 template <class V>
-inline V energy_neutral_lanes(V a, V b, V c, V d, V soc, V intake, V need) {
-  V rate = a * intake / need * V::broadcast(60.0);
+inline V energy_neutral_rate_lanes(V margin, V intake, V need) {
+  return margin * intake / need * V::broadcast(60.0);
+}
+
+/// The rest of detail::energy_neutral_interval_s on W lanes, from that
+/// prefix. b/c = min/max rate per minute, d = target SoC.
+template <class V>
+inline V energy_neutral_lanes(V rate, V b, V c, V d, V soc) {
   const V soc_error = soc - d;
   rate = rate * clamp_lanes<V>(V::broadcast(1.0) + soc_error, V::broadcast(0.5),
                                V::broadcast(1.5));
@@ -163,7 +176,11 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
   constexpr int W = V::kWidth;
   constexpr int N = W * P;
   constexpr unsigned kFull = (1u << W) - 1u;
+  // Segment cap of the lane-major intake tables; a shape-uniform pack whose
+  // profile has more segments gathers like a mixed pack.
+  constexpr std::uint32_t kMaxPackSegments = 16;
 
+  CohortPackStats stats;
   DayState* day[N];
   const std::uint32_t* segs[N];
   const double* intake[N];
@@ -233,8 +250,25 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
   PackPolicy ppol[P];
   M sleep_m[P];
   unsigned sleep_bits[P];
+  // Shape-uniform packs (every lane on one tick->segment table, segment
+  // count within the cap) read each tick's intake as one vector from a
+  // lane-major [segment][lane] copy of their lanes' intake tables.
+  bool uniform[P];
+  alignas(64) double pack_intake[P][kMaxPackSegments * W];
   for (int p = 0; p < P; ++p) {
     const int base = p * W;
+    const std::uint32_t shape = refs.shape_ids[ids[base]];
+    const std::uint32_t nseg = refs.shape_segments[shape];
+    uniform[p] = nseg <= kMaxPackSegments;
+    for (int w = 1; w < W; ++w) {
+      uniform[p] = uniform[p] && refs.shape_ids[ids[base + w]] == shape;
+    }
+    if (uniform[p]) {
+      ++stats.uniform_packs;
+      for (std::uint32_t sg = 0; sg < nseg; ++sg) {
+        for (int w = 0; w < W; ++w) pack_intake[p][sg * W + w] = intake[base + w][sg];
+      }
+    }
     bool lockstep = true;
     bool all_null = true;
     bool kind_uniform = true;
@@ -253,6 +287,7 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
     if (lockstep) {
       mode[p] = PackMode::kLockstep;
       ppol[p] = PackPolicy::kNull;
+      ++stats.lockstep_packs;
     } else if (all_null) {
       mode[p] = PackMode::kRounds;
       ppol[p] = PackPolicy::kNull;
@@ -270,6 +305,8 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
       mode[p] = PackMode::kScalar;
       ppol[p] = PackPolicy::kNull;
     }
+    if (mode[p] == PackMode::kRounds) ++stats.rounds_packs;
+    if (mode[p] == PackMode::kScalar) ++stats.scalar_packs;
     sleep_m[p] = V::gt(V::load(sleep_w + base), V::broadcast(0.0));
     sleep_bits[p] = V::mask_bits(sleep_m[p]);
   }
@@ -457,7 +494,8 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
       return;
     }
     // Round-invariant pack operands (sm only changes in harvest, which never
-    // interleaves with a drain call) and the register-resident drain state.
+    // interleaves with a drain call, so the energy-neutral rate prefix is
+    // evaluated once here) and the register-resident drain state.
     const V glo = V::load(gate_lo + base);
     const V ghi = V::load(gate_hi + base);
     const V cap = V::load(cap_c + base);
@@ -468,9 +506,11 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
     const V pb = V::load(pevb + base);
     const V pc = V::load(pevc + base);
     const V pd = V::load(pevd + base);
-    const V smv = V::load(sm + base);
-    const V needv = V::load(need + base);
     const V perv = V::load(period + base);
+    const V en_rate = ppol[p] == PackPolicy::kEnergyNeutral
+                          ? energy_neutral_rate_lanes<V>(pa, V::load(sm + base),
+                                                         V::load(need + base))
+                          : zero;
     V s = V::load(soc + base);
     V vv = V::load(v + base);
     V cons = V::load(consumed + base);
@@ -480,6 +520,9 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
     U dsv = V::uload(dseq + base);
     U nsv = V::uload(nseq + base);
     do {
+      ++stats.due_rounds;
+      stats.due_lane_slots += W;
+      stats.due_lane_attempts += static_cast<unsigned>(__builtin_popcount(due));
       const M duem = V::mask_from_bits(due);
       const M gt_hi = V::gt(s, ghi);
       unsigned heb = V::mask_bits(gt_hi);
@@ -543,8 +586,7 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
           interval = soc_proportional_lanes<V>(pa, pb, pc, pd, s_after);
           break;
         case PackPolicy::kEnergyNeutral:
-          interval = energy_neutral_lanes<V>(pa, pb, pc, pd, s_after, smv,
-                                             needv);
+          interval = energy_neutral_lanes<V>(en_rate, pb, pc, pd, s_after);
           break;
       }
       if (ppol[p] != PackPolicy::kNull) {
@@ -602,10 +644,16 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
     for (int p = 0; p < P; ++p) {
       const int base = p * W;
       // harvest_tick_env across the pack; the intake comes from the shared
-      // per-segment tables (the same pure evaluation as the scalar cache).
-      alignas(64) double ibuf[W];
-      for (int w = 0; w < W; ++w) ibuf[w] = intake[base + w][segs[base + w][k]];
-      const V in = V::load(ibuf);
+      // per-segment tables (the same pure evaluation as the scalar cache),
+      // one vector load for a shape-uniform pack, a gather otherwise.
+      V in;
+      if (uniform[p]) {
+        in = V::load(pack_intake[p] + segs[base][k] * W);
+      } else {
+        alignas(64) double ibuf[W];
+        for (int w = 0; w < W; ++w) ibuf[w] = intake[base + w][segs[base + w][k]];
+        in = V::load(ibuf);
+      }
       V::store(sm + base,
                V::broadcast(0.9) * V::load(sm + base) + V::broadcast(0.1) * in);
       V s = V::load(soc + base);
@@ -614,7 +662,9 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
       // and pinned-full lanes (both proven no-op identities); here the mask
       // reproduces the skips and the blend keeps skipped lanes' exact bits.
       const M ch = V::mask_and(V::ne(in, zero), V::lt(s, one));
-      if (V::mask_bits(ch) != 0u) {
+      if (V::mask_bits(ch) == 0u) {
+        ++stats.zero_charge_pack_ticks;
+      } else {
         const V cap = V::load(cap_c + base);
         const V current_a = in / vv;
         const V delta_c = current_a * V::load(tick_s + base) * V::load(eff + base);
@@ -679,6 +729,8 @@ void run_cohort_simd_block(const CohortGroupRefs& refs, const std::size_t* ids) 
     r.detections_skipped = skipped[i];
     day[i]->finish();
   }
+  stats.pack_ticks = static_cast<std::uint64_t>(refs.num_ticks) * P;
+  *refs.pack_stats += stats;
 }
 
 /// Consumes register-eligible lanes in blocks of 16/8(/4), widest first and

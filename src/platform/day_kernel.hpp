@@ -34,6 +34,57 @@
 
 namespace iw::platform {
 
+/// Deterministic counters of the SIMD cohort kernel's packs (W lanes
+/// advanced by one vector statement), summed over every block it ran. They
+/// depend only on the lanes, their order and the pack width — never on
+/// timing — so they show how full the vectors run. Lanes the SIMD tier does
+/// not take (tier off, the scalar-ladder tail, the general sweep) add
+/// nothing.
+struct CohortPackStats {
+  /// Pack-days by detection drain mode (see cohort_simd_impl.hpp).
+  std::uint64_t lockstep_packs = 0;
+  std::uint64_t rounds_packs = 0;
+  std::uint64_t scalar_packs = 0;
+  /// Pack-days whose lanes share one profile shape, so each tick's intake
+  /// loads as one vector instead of a per-lane gather.
+  std::uint64_t uniform_packs = 0;
+  /// Masked due rounds run by rounds-mode packs, the lane slots they
+  /// offered (W per round) and the lane attempts that filled them.
+  std::uint64_t due_rounds = 0;
+  std::uint64_t due_lane_slots = 0;
+  std::uint64_t due_lane_attempts = 0;
+  /// Harvest pack-ticks, and those whose charge mask is all zero (every
+  /// lane at zero intake or full), which skip the charge arithmetic.
+  std::uint64_t pack_ticks = 0;
+  std::uint64_t zero_charge_pack_ticks = 0;
+
+  /// Filled share of the due rounds' lane slots (0 without rounds).
+  double round_utilisation() const {
+    return due_lane_slots == 0 ? 0.0
+                               : static_cast<double>(due_lane_attempts) /
+                                     static_cast<double>(due_lane_slots);
+  }
+  /// Share of pack-ticks that skip the charge arithmetic (0 without ticks).
+  double zero_charge_share() const {
+    return pack_ticks == 0 ? 0.0
+                           : static_cast<double>(zero_charge_pack_ticks) /
+                                 static_cast<double>(pack_ticks);
+  }
+
+  CohortPackStats& operator+=(const CohortPackStats& o) {
+    lockstep_packs += o.lockstep_packs;
+    rounds_packs += o.rounds_packs;
+    scalar_packs += o.scalar_packs;
+    uniform_packs += o.uniform_packs;
+    due_rounds += o.due_rounds;
+    due_lane_slots += o.due_lane_slots;
+    due_lane_attempts += o.due_lane_attempts;
+    pack_ticks += o.pack_ticks;
+    zero_charge_pack_ticks += o.zero_charge_pack_ticks;
+    return *this;
+  }
+};
+
 namespace detail {
 
 /// Windowed SoC threshold pair for the stored-energy detection gate. The
@@ -104,6 +155,10 @@ struct CohortGroupRefs {
   /// only segments the shape's tick grid samples are populated). The same
   /// pure intake_w evaluation the scalar path caches per segment visit.
   const double* const* intake_tables = nullptr;
+  /// Per-lane index of the lane's profile shape (lanes with equal ids share
+  /// one seg_tables entry), and the segment count of each shape by index.
+  const std::uint32_t* shape_ids = nullptr;
+  const std::uint32_t* shape_segments = nullptr;
   const DetectionPolicy* const* policies = nullptr;
   /// Per-lane closed-form snapshots of the built-in policies (kOpaque for
   /// custom ones), so the drain loop dispatches inline instead of virtually.
@@ -113,6 +168,8 @@ struct CohortGroupRefs {
   std::uint64_t* harvest_seq = nullptr;
   std::uint64_t* next_seq = nullptr;
   std::uint8_t* detect_alive = nullptr;
+  /// Receives the SIMD blocks' pack counters (required).
+  CohortPackStats* pack_stats = nullptr;
 };
 
 /// Advances every lane of one clock group through a full day in lockstep:

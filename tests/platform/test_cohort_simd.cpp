@@ -5,14 +5,18 @@
 // tail, plus 15/17/31/33 around the 16-lane blocks), across the policy mix
 // that selects each drain mode (lockstep, vectorized rounds, scalar), and
 // with register-ineligible lanes (trace recording) interleaved so the SIMD
-// prefix/general-sweep split itself is exercised. Each vector tier has its
-// own tests, which skip with the reason when the tier is not usable.
+// prefix/general-sweep split itself is exercised. A second pool holds many
+// lanes per (policy, period, profile shape) bucket, so the cohort sort forms
+// shape-uniform packs (one-vector intake loads) next to mixed ones, in any
+// member order. Each vector tier has its own tests, which skip with the
+// reason when the tier is not usable.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
 #include <initializer_list>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -192,6 +196,114 @@ void expect_mixed_lanes_match_oracle(std::initializer_list<simd::Tier> tiers) {
                                simd::tier_name(tier));
     }
   }
+}
+
+/// 16 lanes per (policy, period, profile shape) bucket with varying lux
+/// factor and initial SoC, over the five archetypes plus one profile cut
+/// into more segments than a pack's lane-major intake table holds, and one
+/// odd lane in some buckets so that packs straddling two shapes form too.
+std::vector<Case> shape_bucket_pool() {
+  static const FixedRatePolicy fixed(60.0);
+  static const SocProportionalPolicy soc_prop(0.5, 4.0);
+  static const EnergyNeutralPolicy neutral;
+  const std::vector<const DetectionPolicy*> policies{nullptr, &fixed, &soc_prop,
+                                                     &neutral};
+  constexpr int kLanesPerBucket = 16;
+  Rng rng(0x5a3e0b0cULL);
+  std::vector<std::pair<fleet::Scenario, hv::DayProfile>> shapes;
+  for (int p = 0; p < fleet::kNumWearerProfiles; ++p) {
+    fleet::Scenario scenario = fleet::sample_scenario(2020, 400 + p);
+    scenario.profile = static_cast<fleet::WearerProfile>(p);
+    shapes.emplace_back(scenario, fleet::build_day_profile(scenario));
+  }
+  // Every segment of the first archetype cut in three: 20+ segments.
+  hv::DayProfile fine;
+  for (const hv::EnvironmentSegment& seg : shapes[0].second) {
+    const double third = seg.duration_s / 3.0;
+    fine.push_back({third, seg.env});
+    fine.push_back({third, seg.env});
+    fine.push_back({seg.duration_s - 2.0 * third, seg.env});
+  }
+  shapes.emplace_back(shapes[0].first, std::move(fine));
+
+  std::vector<Case> cases;
+  for (std::size_t sh = 0; sh < shapes.size(); ++sh) {
+    const auto& [scenario, base] = shapes[sh];
+    for (std::size_t i = 0; i < policies.size(); ++i) {
+      const int lanes = kLanesPerBucket + ((sh + i) % 3 == 0 ? 1 : 0);
+      for (int l = 0; l < lanes; ++l) {
+        Case c;
+        c.config.detection = make_detection_cost({});
+        c.config.detection_period_s = scenario.detection_period_s;
+        // A few lanes start full, so charge masks also go partial that way.
+        c.config.initial_soc = l % 7 == 0 ? 1.0 : rng.uniform(0.02, 0.98);
+        c.config.record_trace = false;
+        c.profile = scale_profile_lux(base, std::exp(rng.normal(0.0, 0.4)));
+        c.policy = policies[i];
+        c.context = "shape " + std::to_string(sh) + " policy " +
+                    std::to_string(i) + " lane " + std::to_string(l);
+        cases.push_back(std::move(c));
+      }
+    }
+  }
+  return cases;
+}
+
+/// Runs the bucket pool as one cohort in the given, reversed and a seeded
+/// shuffled member order under each tier of `tiers`, holding every lane to
+/// the oracle. Under a vector tier both intake paths must have run.
+void expect_shape_buckets_match_oracle(std::initializer_list<simd::Tier> tiers) {
+  const std::vector<Case> cases = shape_bucket_pool();
+  std::vector<DaySimulationResult> oracle(cases.size());
+  for (std::size_t i = 0; i < cases.size(); ++i) oracle[i] = run_oracle(cases[i]);
+
+  std::vector<std::size_t> given(cases.size());
+  for (std::size_t i = 0; i < given.size(); ++i) given[i] = i;
+  const std::vector<std::size_t> reversed(given.rbegin(), given.rend());
+  Rng rng(0x0dde12ULL);
+  const std::vector<std::size_t> shuffled = rng.permutation(cases.size());
+  const std::vector<std::pair<const char*, const std::vector<std::size_t>*>> orders{
+      {"given", &given}, {"reversed", &reversed}, {"shuffled", &shuffled}};
+
+  TierGuard guard;
+  std::vector<DaySimulationResult> results(cases.size());
+  for (const simd::Tier tier : tiers) {
+    simd::override_tier(tier);
+    for (const auto& [name, order] : orders) {
+      std::vector<CohortMember> members;
+      for (const std::size_t i : *order) {
+        members.push_back(CohortMember{&cases[i].config, &shared_harvester(),
+                                       &cases[i].profile, cases[i].policy,
+                                       &results[i]});
+      }
+      CohortDayState cohort;
+      cohort.run_day(members);
+      for (std::size_t i = 0; i < cases.size(); ++i) {
+        expect_bit_identical(oracle[i], results[i],
+                             cases[i].context + " order " + name + " tier " +
+                                 simd::tier_name(tier));
+      }
+      const CohortPackStats& stats = cohort.pack_stats();
+      const std::uint64_t packs =
+          stats.lockstep_packs + stats.rounds_packs + stats.scalar_packs;
+      if (tier != simd::Tier::kOff) {
+        EXPECT_GT(stats.uniform_packs, 0u) << name << " " << simd::tier_name(tier);
+        EXPECT_LT(stats.uniform_packs, packs) << name << " " << simd::tier_name(tier);
+      } else {
+        EXPECT_EQ(packs, 0u) << name;
+      }
+    }
+  }
+}
+
+TEST(CohortSimd, ShapeBucketsMatchOracleInAnyMemberOrder) {
+  if (!simd::tier_usable(simd::Tier::kAvx2)) GTEST_SKIP() << kNoAvx2;
+  expect_shape_buckets_match_oracle({simd::Tier::kOff, simd::Tier::kAvx2});
+}
+
+TEST(CohortSimd, Avx512ShapeBucketsMatchOracleInAnyMemberOrder) {
+  if (!simd::tier_usable(simd::Tier::kAvx512)) GTEST_SKIP() << kNoAvx512;
+  expect_shape_buckets_match_oracle({simd::Tier::kAvx512});
 }
 
 TEST(CohortSimd, TiersMatchOracleAcrossPackBoundarySizes) {
