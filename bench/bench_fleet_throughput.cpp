@@ -11,10 +11,11 @@
 //   cohort  LongitudinalRunner (the product path) at 1/2/4/8 worker threads:
 //           each shard advances in lockstep through the structure-of-arrays
 //           cohort kernel, sharing segment tables, the detection-gate window
-//           and policy objects across the shard
+//           and policy objects across the shard; five alternating rounds per
+//           thread count, reported as median, min and max
 // then sweeps the runner across the SIMD tiers this build + host can run
 // (off, plus avx2 and avx512 where usable) at one thread, five alternating rounds per
-// tier reported as median, min and max. Reports device-days/sec, the
+// tier reported the same way. Reports device-days/sec, the
 // fast-vs-engine / cohort-vs-fast / simd-vs-scalar speedups, and the
 // runner's thread scaling; cross-checks the determinism invariants in-run
 // (per-device FleetStats byte-identical on every path, thread count and SIMD
@@ -200,11 +201,11 @@ int run_bench(int argc, char** argv) {
   std::printf("%18s %8s %16s %10s %12s\n", "path", "threads", "dev-days/sec",
               "speedup", "efficiency");
   const auto report = [&](const char* name, int threads, const Run& run,
-                          double base_ddps) {
+                          double base_ddps, const std::string& note = "") {
     const double speedup = base_ddps > 0.0 ? run.device_days_per_sec / base_ddps : 0.0;
     const double efficiency = speedup / threads;
-    std::printf("%18s %8d %16.1f %9.2fx %11.1f%%\n", name, threads,
-                run.device_days_per_sec, speedup, 100.0 * efficiency);
+    std::printf("%18s %8d %16.1f %9.2fx %11.1f%%%s\n", name, threads,
+                run.device_days_per_sec, speedup, 100.0 * efficiency, note.c_str());
     const std::string prefix = std::string(name) + "_t" + std::to_string(threads);
     json.add(prefix + "_device_days_per_sec", run.device_days_per_sec);
     json.add(prefix + "_wall_s", run.wall_s);
@@ -221,25 +222,46 @@ int run_bench(int argc, char** argv) {
   report("fast", 1, fast, fast.device_days_per_sec);
   bool deterministic = fast.serialized == reference;
 
-  double cohort_t1_ddps = 0.0;
-  for (int threads : {1, 2, 4, 8}) {
-    const Run cohort = run_cohort(config, threads);
-    if (threads == 1) cohort_t1_ddps = cohort.device_days_per_sec;
-    if (cohort.serialized != reference) deterministic = false;
-    report("cohort", threads, cohort, cohort_t1_ddps);
+  // Thread axis: kReps rounds that each run the runner once per thread count
+  // (alternating, so host drift hits every count alike), each run's rows
+  // compared byte-for-byte against the engine oracle. A pass is short (under
+  // 0.3 s at 4000 devices x 2 days), so a single pass per row swings with the
+  // load of the moment; the rows report the median, min and max of the
+  // rounds, and the speedups are ratios of medians.
+  constexpr int kReps = 5;
+  constexpr int kThreadCounts[] = {1, 2, 4, 8};
+  std::vector<std::vector<double>> thread_ddps(std::size(kThreadCounts));
+  std::vector<std::vector<double>> thread_wall(std::size(kThreadCounts));
+  for (int rep = 0; rep < kReps; ++rep) {
+    for (std::size_t t = 0; t < std::size(kThreadCounts); ++t) {
+      const Run cohort = run_cohort(config, kThreadCounts[t]);
+      if (cohort.serialized != reference) deterministic = false;
+      thread_ddps[t].push_back(cohort.device_days_per_sec);
+      thread_wall[t].push_back(cohort.wall_s);
+    }
+  }
+  json.add("cohort_thread_reps", static_cast<double>(kReps));
+  const double cohort_t1_ddps = spread(thread_ddps.front()).median;
+  for (std::size_t t = 0; t < std::size(kThreadCounts); ++t) {
+    const Spread s = spread(thread_ddps[t]);
+    Run row;
+    row.device_days_per_sec = s.median;
+    row.wall_s = spread(thread_wall[t]).median;
+    char note[64];
+    std::snprintf(note, sizeof note, "   (min %.1f, max %.1f over %d)", s.min, s.max, kReps);
+    report("cohort", kThreadCounts[t], row, cohort_t1_ddps, note);
+    const std::string prefix =
+        "cohort_t" + std::to_string(kThreadCounts[t]) + "_device_days_per_sec";
+    json.add(prefix + "_min", s.min);
+    json.add(prefix + "_max", s.max);
   }
 
-  // SIMD tier axis: the runner at one thread, kTierReps rounds that each run
-  // every tier this build + host can run once (alternating, so host drift
-  // hits all tiers alike), each run's rows compared byte-for-byte against the
-  // engine oracle. A pass is short (about 0.1 s at 4000 devices x 2 days),
-  // so a single pass per tier swings too much to rank tiers; the rows report
-  // the median, min and max of the rounds.
-  constexpr int kTierReps = 5;
+  // SIMD tier axis: the runner at one thread, kReps rounds that each run
+  // every tier this build + host can run once, reported the same way.
   bool tiers_identical = true;
   std::vector<std::vector<double>> tier_ddps(tiers.size());
   std::vector<double> pair_speedups;  // widest tier / off, per round
-  for (int rep = 0; rep < kTierReps; ++rep) {
+  for (int rep = 0; rep < kReps; ++rep) {
     for (std::size_t t = 0; t < tiers.size(); ++t) {
       iw::simd::override_tier(tiers[t]);
       const Run cohort = run_cohort(config, 1);
@@ -248,13 +270,13 @@ int run_bench(int argc, char** argv) {
     }
     pair_speedups.push_back(tier_ddps.back().back() / tier_ddps.front().back());
   }
-  json.add("cohort_tier_reps", static_cast<double>(kTierReps));
+  json.add("cohort_tier_reps", static_cast<double>(kReps));
   const Spread off = spread(tier_ddps.front());
   for (std::size_t t = 0; t < tiers.size(); ++t) {
     const Spread s = spread(tier_ddps[t]);
     const std::string label = std::string("cohort tier=") + iw::simd::tier_name(tiers[t]);
     std::printf("%18s %8d %16.1f %9.2fx   (min %.1f, max %.1f over %d)\n", label.c_str(),
-                1, s.median, s.median / off.median, s.min, s.max, kTierReps);
+                1, s.median, s.median / off.median, s.min, s.max, kReps);
     const std::string prefix =
         "cohort_tier_" + std::string(iw::simd::tier_name(tiers[t])) + "_t1_device_days_per_sec";
     json.add(prefix, s.median);

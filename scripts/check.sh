@@ -9,7 +9,9 @@
 # smoke (its digest pinned under IW_SIMD=off, avx2 and avx512, in the SIMD
 # build and in a portable -DIW_SIMD=OFF build — the cross-build half of the
 # bit-exactness contract), a 5000-device iw_fleetd checkpoint compared byte
-# for byte across the same tiers and builds, an UndefinedBehaviorSanitizer pass over the
+# for byte across the same tiers and builds, a 20000-device checkpoint +
+# resume compared byte for byte between the default shard cap and --shard
+# 4096 with the default run's peak RSS bounded, an UndefinedBehaviorSanitizer pass over the
 # platform/fleet suites, the SIMD parity suites and the superblock-trace
 # suite (the fast-path day kernel, per-worker scratch reuse, the intrinsic
 # packs and the direct-threaded trace executor are where a stale-pointer or
@@ -207,6 +209,43 @@ for other in avx2 avx512 portable; do
 done
 rm -rf "$pop_dir"
 echo "checkpoints byte-identical across off, avx2, avx512 and the portable build"
+
+echo
+echo "== default shard cap vs --shard 4096 (20000 devices x 2 days, checkpoint + resume) =="
+# On 4 threads the default cap cuts 32 shards of 625 devices and --shard 4096
+# cuts 16 of 1250; the partition must not move a checkpoint byte. The default
+# run's peak RSS is held under 13 MiB (1250-device shards read about
+# 17.9 MiB); a sanitizer build's RSS says nothing about the product, so the
+# bound is skipped when ./build is one.
+cap_dir=$(mktemp -d)
+cap_args=(--devices 20000 --days 2 --threads 4)
+run_cap() {  # <label> [extra iw_fleetd flags...]
+  local label=$1
+  shift
+  ./build/tools/iw_fleetd "${cap_args[@]}" "$@" --checkpoint "$cap_dir/$label.d1.ckpt" \
+    --checkpoint-day 1 >/dev/null
+  ./build/tools/iw_fleetd "${cap_args[@]}" "$@" --resume "$cap_dir/$label.d1.ckpt" \
+    --checkpoint "$cap_dir/$label.d2.ckpt" --checkpoint-day 2 \
+    --json "$cap_dir/$label.json" >/dev/null
+}
+run_cap default
+run_cap cap4096 --shard 4096
+if ! cmp "$cap_dir/default.d2.ckpt" "$cap_dir/cap4096.d2.ckpt"; then
+  echo "FAIL: the default shard cap's day-2 checkpoint differs from --shard 4096"
+  exit 1
+fi
+if grep -q '^IW_SANITIZE:STRING=.\+' build/CMakeCache.txt; then
+  echo "peak RSS bound skipped: ./build is a sanitizer build"
+else
+  rss=$(sed -n 's/.*"peak_rss_bytes": *\([0-9.e+]*\).*/\1/p' "$cap_dir/default.json")
+  if ! awk -v rss="$rss" 'BEGIN { exit !(rss != "" && rss < 13 * 1048576) }'; then
+    echo "FAIL: iw_fleetd 20000 x 2 resume leg peak RSS ${rss:-missing} B is not under 13 MiB"
+    exit 1
+  fi
+  awk -v rss="$rss" 'BEGIN { printf "default-cap resume leg peak RSS: %.1f MiB (bound 13 MiB)\n", rss / 1048576 }'
+fi
+rm -rf "$cap_dir"
+echo "default cap and --shard 4096 write byte-identical day-2 checkpoints"
 
 echo
 echo "== clang-tidy (skipped automatically when not installed) =="

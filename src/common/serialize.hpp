@@ -49,6 +49,9 @@ class ByteWriter {
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::uint8_t>& data() const { return buf_; }
   void clear() { buf_.clear(); }
+  /// Pre-sizes the sink for `n` bytes, so a writer of known size (a fixed
+  /// record) grows no further.
+  void reserve(std::size_t n) { buf_.reserve(n); }
 
  private:
   std::vector<std::uint8_t> buf_;

@@ -51,12 +51,11 @@ const platform::DetectionPolicy* ShardSimulator::policy_for(
   return policies_.back().policy.get();
 }
 
-void ShardSimulator::setup(std::span<const Scenario> scenarios) {
+void ShardSimulator::begin(std::vector<Scenario> scenarios) {
   const std::size_t n = scenarios.size();
   ensure(n > 0, "ShardSimulator: need at least one scenario");
-  scenarios_.assign(scenarios.begin(), scenarios.end());
+  scenarios_ = std::move(scenarios);
   rngs_.clear();
-  base_profiles_.resize(std::max(base_profiles_.size(), n));
   scaled_profiles_.resize(std::max(scaled_profiles_.size(), n));
   configs_.resize(std::max(configs_.size(), n));
   results_.resize(std::max(results_.size(), n));
@@ -72,7 +71,6 @@ void ShardSimulator::setup(std::span<const Scenario> scenarios) {
     ensure(s.days >= 1, "ShardSimulator: scenario needs at least one day");
     max_days_ = std::max(max_days_, s.days);
     rngs_.emplace_back(s.rng_seed);
-    build_day_profile_into(s, base_profiles_[i]);
     platform::DeviceConfig& config = configs_[i];
     config = platform::DeviceConfig{};
     config.detection = platform::make_detection_cost({});
@@ -90,35 +88,41 @@ void ShardSimulator::setup(std::span<const Scenario> scenarios) {
   }
 }
 
-void ShardSimulator::begin(std::span<const Scenario> scenarios) {
-  setup(scenarios);
-}
-
-void ShardSimulator::resume(std::span<const Scenario> scenarios,
-                            std::span<const DeviceCheckpoint> checkpoints) {
-  setup(scenarios);
-  ensure(checkpoints.size() == scenarios_.size(),
+void ShardSimulator::resume(std::vector<Scenario> scenarios,
+                            std::span<const std::uint8_t> records) {
+  begin(std::move(scenarios));
+  ensure(records.size() % kDeviceCheckpointBytes == 0,
+         "ShardSimulator::resume: truncated checkpoint record");
+  ensure(records.size() / kDeviceCheckpointBytes == scenarios_.size(),
          "ShardSimulator::resume: checkpoint/scenario count mismatch");
+  // One pass decodes each record into its lane. The shard clock (the largest
+  // day count) is known only at the end, so the day-count rule — every lane
+  // is at the clock or was already done when saved, i.e. days_run ==
+  // min(clock, scenario days) — is checked then: no lane may be past its own
+  // horizon, and every lane short of it must sit at the clock.
+  ByteReader reader(records);
   int resumed_day = 0;
-  for (const DeviceCheckpoint& cp : checkpoints) {
-    resumed_day = std::max(resumed_day, static_cast<int>(cp.days_run));
-  }
-  ensure(resumed_day <= max_days_,
-         "ShardSimulator::resume: checkpoint is past the scenario horizon");
+  int short_day = std::numeric_limits<int>::max();  // min over lanes short of their horizon
+  bool past_own_horizon = false;
   for (std::size_t i = 0; i < scenarios_.size(); ++i) {
-    const DeviceCheckpoint& cp = checkpoints[i];
+    const DeviceCheckpoint cp = load_device_checkpoint(reader);
     const Scenario& s = scenarios_[i];
     ensure(cp.outcome.device_id == s.device_id,
            "ShardSimulator::resume: checkpoint is for a different device");
     ensure(cp.rng.seed == s.rng_seed,
            "ShardSimulator::resume: checkpoint RNG does not match the scenario");
-    // A lane is either at the shard clock or was already done when saved.
-    ensure(static_cast<int>(cp.days_run) == std::min(resumed_day, s.days),
-           "ShardSimulator::resume: inconsistent per-device day counts");
+    const int days_run = static_cast<int>(cp.days_run);
+    resumed_day = std::max(resumed_day, days_run);
+    if (days_run < s.days) short_day = std::min(short_day, days_run);
+    past_own_horizon = past_own_horizon || days_run > s.days;
     socs_[i] = cp.soc;
     rngs_[i] = Rng::from_snapshot(cp.rng);
     outcomes_[i] = cp.outcome;
   }
+  ensure(resumed_day <= max_days_,
+         "ShardSimulator::resume: checkpoint is past the scenario horizon");
+  ensure(!past_own_horizon && short_day >= resumed_day,
+         "ShardSimulator::resume: inconsistent per-device day counts");
   day_ = resumed_day;
 }
 
@@ -134,7 +138,8 @@ bool ShardSimulator::step_day(LongitudinalStats* sink) {
     // drawn in the same per-device order as DeviceInstance.
     const double lux_factor =
         std::exp(rngs_[i].normal(0.0, scenarios_[i].lux_sigma_day));
-    platform::scale_profile_lux_into(base_profiles_[i], lux_factor,
+    build_day_profile_into(scenarios_[i], base_profile_);
+    platform::scale_profile_lux_into(base_profile_, lux_factor,
                                      scaled_profiles_[i]);
     configs_[i].initial_soc = socs_[i];
     members_.push_back(platform::CohortMember{&configs_[i], &harvester_,
@@ -167,16 +172,23 @@ std::span<const DeviceOutcome> ShardSimulator::outcomes() const {
   return std::span<const DeviceOutcome>(outcomes_.data(), scenarios_.size());
 }
 
-void ShardSimulator::save_checkpoints(std::vector<DeviceCheckpoint>& out) const {
-  out.clear();
-  out.reserve(scenarios_.size());
+void ShardSimulator::save(std::span<std::uint8_t> records) const {
+  ensure(records.size() == scenarios_.size() * kDeviceCheckpointBytes,
+         "ShardSimulator::save: record buffer does not fit the shard");
+  // The codec appends to a ByteWriter; one record-sized writer is reused and
+  // each record copied to its slot.
+  ByteWriter record;
+  record.reserve(kDeviceCheckpointBytes);
+  std::uint8_t* slot = records.data();
   for (std::size_t i = 0; i < scenarios_.size(); ++i) {
     DeviceCheckpoint cp;
     cp.soc = socs_[i];
     cp.days_run = static_cast<std::uint32_t>(std::min(day_, scenarios_[i].days));
     cp.rng = rngs_[i].snapshot();
     cp.outcome = outcomes_[i];
-    out.push_back(cp);
+    record.clear();
+    save_device_checkpoint(cp, record);
+    slot = std::copy(record.data().begin(), record.data().end(), slot);
   }
 }
 
@@ -365,11 +377,10 @@ LongitudinalResult LongitudinalRunner::run() const {
                "LongitudinalRunner: cannot reopen resume checkpoint");
       }
 
-      std::vector<Scenario> scenarios;
-      std::vector<DeviceCheckpoint> checkpoints;
-      std::vector<std::uint8_t> record_buf;
-      ByteWriter record_writer;
-      scenarios.reserve(static_cast<std::size_t>(shard));
+      // One record buffer per worker (the first shard is the largest, so it
+      // is allocated once): it holds a shard's resumed records until they
+      // are decoded into the lanes, then the records the shard saves.
+      std::vector<std::uint8_t> records;
 
       while (true) {
         const std::uint64_t s = next_shard.fetch_add(1, std::memory_order_relaxed);
@@ -377,50 +388,37 @@ LongitudinalResult LongitudinalRunner::run() const {
         const std::uint64_t begin = cfg.first_device + s * shard;
         const std::uint64_t end = begin + std::min(shard, n - s * shard);
         const std::size_t count = static_cast<std::size_t>(end - begin);
+        const std::uint64_t table_pos = (begin - cfg.first_device) * kDeviceCheckpointBytes;
 
-        // Shard generation: re-sampled from the substream, never stored.
-        scenarios.clear();
+        // Shard generation: re-sampled from the substream, owned by the
+        // simulator until the next shard replaces it.
+        std::vector<Scenario> scenarios;
+        scenarios.reserve(count);
         for (std::uint64_t id = begin; id < end; ++id) {
           Scenario scenario = sample_scenario(cfg.fleet_seed, id);
           scenario.days = cfg.days;
           scenarios.push_back(scenario);
         }
+        if (resuming || saving) records.resize(count * kDeviceCheckpointBytes);
 
         if (resuming) {
-          const std::uint64_t off =
-              resume_table_off +
-              (begin - cfg.first_device) * kDeviceCheckpointBytes;
-          record_buf.resize(count * kDeviceCheckpointBytes);
-          seek_to(resume_file->f, off);
-          ensure(std::fread(record_buf.data(), 1, record_buf.size(),
-                            resume_file->f) == record_buf.size(),
+          seek_to(resume_file->f, resume_table_off + table_pos);
+          ensure(std::fread(records.data(), 1, records.size(), resume_file->f) ==
+                     records.size(),
                  "LongitudinalRunner: truncated checkpoint records");
-          ByteReader reader(record_buf);
-          checkpoints.clear();
-          checkpoints.reserve(count);
-          for (std::size_t i = 0; i < count; ++i) {
-            checkpoints.push_back(load_device_checkpoint(reader));
-          }
-          sim.resume(scenarios, checkpoints);
+          sim.resume(std::move(scenarios), records);
         } else {
-          sim.begin(scenarios);
+          sim.begin(std::move(scenarios));
         }
 
         for (int d = start_day; d < stop_day; ++d) sim.step_day(&local);
 
         if (saving) {
-          sim.save_checkpoints(checkpoints);
-          record_writer.clear();
-          for (const DeviceCheckpoint& cp : checkpoints) {
-            save_device_checkpoint(cp, record_writer);
-          }
-          const std::uint64_t off =
-              save_table_off +
-              (begin - cfg.first_device) * kDeviceCheckpointBytes;
+          sim.save(records);
           std::lock_guard<std::mutex> lock(save_mutex);
-          seek_to(save_file->f, off);
-          ensure(std::fwrite(record_writer.data().data(), 1, record_writer.size(),
-                             save_file->f) == record_writer.size(),
+          seek_to(save_file->f, save_table_off + table_pos);
+          ensure(std::fwrite(records.data(), 1, records.size(), save_file->f) ==
+                     records.size(),
                  "LongitudinalRunner: checkpoint record write failed");
         }
 

@@ -11,8 +11,8 @@
 //     never O(population).
 //   * Multi-day lockstep advance — a shard's devices step day-by-day through
 //     the cohort day kernel (platform::CohortDayState), so the per-shard
-//     setup (scenario sampling, profile build, policy pooling, gate/shape
-//     caches) amortizes over every simulated day, not just one.
+//     setup (scenario sampling, policy pooling, gate/shape caches) amortizes
+//     over every simulated day, not just one.
 //   * Streaming aggregation — results fold into LongitudinalStats (fixed-bin
 //     histograms + exact integer counters per day x archetype), whose merge
 //     is exactly commutative: aggregates are byte-identical across shard
@@ -56,8 +56,10 @@ struct LongitudinalConfig {
   /// Cap on the devices simulated together per shard — the memory knob. The
   /// runner cuts the population into equal shards of at most this size,
   /// about four per worker (see plan_shards); LongitudinalResult reports the
-  /// partition it used.
-  std::size_t shard_size = 4096;
+  /// partition it used. Each worker holds one shard's lanes at a time, so
+  /// peak memory grows with workers x shard size; below about 600 lanes the
+  /// cohort kernel's packs lose coherence and a day gets slower.
+  std::size_t shard_size = 1024;
   /// Worker threads; 1 runs inline on the calling thread.
   int threads = 1;
   /// SoC histogram resolution of the streamed aggregates.
@@ -113,13 +115,15 @@ class ShardSimulator {
   /// outlive the simulator.
   explicit ShardSimulator(const core::StressDetectionApp* app = nullptr);
 
-  /// Binds a fresh shard at day 0.
-  void begin(std::span<const Scenario> scenarios);
+  /// Binds a fresh shard at day 0, taking ownership of its scenarios.
+  void begin(std::vector<Scenario> scenarios);
 
-  /// Binds a shard restored from checkpoints (parallel to `scenarios`; device
-  /// ids, RNG seeds and day counts are validated against the scenarios).
-  void resume(std::span<const Scenario> scenarios,
-              std::span<const DeviceCheckpoint> checkpoints);
+  /// Binds a shard restored from a checkpoint record stream: one
+  /// kDeviceCheckpointBytes record per scenario, in scenario order, decoded
+  /// straight into the lanes. Device ids, RNG seeds and day counts are
+  /// validated against the scenarios; a short or torn stream throws.
+  void resume(std::vector<Scenario> scenarios,
+              std::span<const std::uint8_t> records);
 
   /// Advances every unfinished lane one day; when `sink` is non-null, records
   /// each advanced device's end-of-day state into it. Returns false once all
@@ -136,14 +140,14 @@ class ShardSimulator {
   /// Running outcome accumulators, parallel to the bound scenarios.
   std::span<const DeviceOutcome> outcomes() const;
 
-  /// Snapshots every lane's cross-day state at the current day boundary.
-  void save_checkpoints(std::vector<DeviceCheckpoint>& out) const;
+  /// Encodes every lane's cross-day state at the current day boundary into
+  /// `records`, which must hold exactly size() x kDeviceCheckpointBytes.
+  void save(std::span<std::uint8_t> records) const;
 
   /// The shard's cohort day kernel (its cache sizes and pack counters).
   const platform::CohortDayState& cohort() const { return cohort_; }
 
  private:
-  void setup(std::span<const Scenario> scenarios);
   const platform::DetectionPolicy* policy_for(const Scenario& scenario);
 
   const core::StressDetectionApp* app_;
@@ -164,10 +168,13 @@ class ShardSimulator {
 
   std::array<std::vector<std::size_t>, 3> windows_by_level_;
 
+  /// A lane's base profile is a pure function of its scenario, so each day
+  /// rebuilds it here before scaling it into the lane's own profile.
+  hv::DayProfile base_profile_;
+
   // Per-lane state, parallel to scenarios_; buffers reused across shards.
   std::vector<Scenario> scenarios_;
   std::vector<Rng> rngs_;
-  std::vector<hv::DayProfile> base_profiles_;
   std::vector<hv::DayProfile> scaled_profiles_;
   std::vector<platform::DeviceConfig> configs_;
   std::vector<platform::DaySimulationResult> results_;

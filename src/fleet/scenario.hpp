@@ -77,7 +77,7 @@ Scenario sample_scenario(std::uint64_t fleet_seed, std::uint64_t device_id);
 hv::DayProfile build_day_profile(const Scenario& scenario);
 
 /// Same expansion into a caller-owned buffer whose capacity is reused across
-/// devices (ShardSimulator keeps one per lane, DeviceScratch one per run).
+/// devices (ShardSimulator and DeviceScratch each keep one).
 void build_day_profile_into(const Scenario& scenario, hv::DayProfile& out);
 
 /// Instantiates the scenario's scheduling policy.

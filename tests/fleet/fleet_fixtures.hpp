@@ -37,10 +37,11 @@ inline std::uint64_t fnv1a(const std::string& bytes) {
 }
 
 /// Devices [0, devices) of `seed` for `days` days on `threads` workers, with
-/// shards of at most `shard_cap` devices.
+/// shards of at most `shard_cap` devices (the runner's default cap unless
+/// given).
 inline LongitudinalConfig population(std::uint64_t devices, std::uint64_t seed,
                                      int days, int threads,
-                                     std::size_t shard_cap = 4096) {
+                                     std::size_t shard_cap = LongitudinalConfig{}.shard_size) {
   LongitudinalConfig config;
   config.num_devices = devices;
   config.fleet_seed = seed;

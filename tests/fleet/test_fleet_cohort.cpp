@@ -8,8 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -43,7 +43,7 @@ TEST(FleetCohort, ByteIdenticalToScalarPathsAcrossThreadCounts) {
 TEST(FleetCohort, ByteIdenticalAcrossCohortSizes) {
   // A device's bits must not depend on who shares its cohort — including
   // cohorts that split archetypes unevenly (5, 48) or degenerate to one
-  // device (1). Explicit spans, not the runner's plan, so every size is hit.
+  // device (1). Explicit slices, not the runner's plan, so every size is hit.
   std::vector<Scenario> scenarios;
   for (std::uint64_t id = 0; id < 48; ++id) {
     Scenario s = sample_scenario(2020, id);
@@ -57,7 +57,8 @@ TEST(FleetCohort, ByteIdenticalAcrossCohortSizes) {
     FleetStats rows;
     for (std::size_t begin = 0; begin < scenarios.size(); begin += cohort) {
       const std::size_t end = std::min(begin + cohort, scenarios.size());
-      sim.begin(std::span<const Scenario>(scenarios).subspan(begin, end - begin));
+      sim.begin(std::vector<Scenario>(scenarios.begin() + static_cast<std::ptrdiff_t>(begin),
+                                      scenarios.begin() + static_cast<std::ptrdiff_t>(end)));
       while (sim.step_day()) {
       }
       for (const DeviceOutcome& o : sim.outcomes()) rows.add(o);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/simd.hpp"
@@ -79,7 +80,7 @@ platform::CohortPackStats sampled_shard_pack_stats(simd::Tier tier) {
   TierGuard guard;
   simd::override_tier(tier);
   ShardSimulator shard;
-  shard.begin(scenarios);
+  shard.begin(std::move(scenarios));
   shard.step_day();
   return shard.cohort().pack_stats();
 }

@@ -1,7 +1,7 @@
 // Longitudinal fleet service: the checkpoint/resume and runner contracts.
 //
 // The headline property: cutting a multi-day run at any day boundary —
-// in-memory (ShardSimulator::save_checkpoints/resume) or through a checkpoint
+// in-memory (ShardSimulator::save/resume over a record stream) or through a checkpoint
 // file (LongitudinalRunner) — and continuing in a fresh simulator produces
 // bit-identical results to never having stopped, across every archetype,
 // policy variant, and battery edge state. Alongside it: the runner's
@@ -9,6 +9,7 @@
 // its per-device rows match the per-device oracle.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -69,6 +70,39 @@ std::string rows_of(const ShardSimulator& sim) {
   FleetStats stats;
   for (const DeviceOutcome& o : sim.outcomes()) stats.add(o);
   return stats.serialize();
+}
+
+/// The shard's checkpoint record stream at its current day boundary.
+std::vector<std::uint8_t> saved_records(const ShardSimulator& sim) {
+  std::vector<std::uint8_t> records(sim.size() * kDeviceCheckpointBytes);
+  sim.save(records);
+  return records;
+}
+
+std::vector<DeviceCheckpoint> decode_records(const std::vector<std::uint8_t>& records) {
+  ByteReader reader(records);
+  std::vector<DeviceCheckpoint> cps;
+  while (reader.remaining() > 0) cps.push_back(load_device_checkpoint(reader));
+  return cps;
+}
+
+std::vector<std::uint8_t> encode_records(const std::vector<DeviceCheckpoint>& cps) {
+  ByteWriter writer;
+  for (const DeviceCheckpoint& cp : cps) save_device_checkpoint(cp, writer);
+  return writer.data();
+}
+
+/// Resuming `records` against `scenarios` throws an Error whose message
+/// contains `what`.
+void expect_resume_error(const std::vector<Scenario>& scenarios,
+                         const std::vector<std::uint8_t>& records, const std::string& what) {
+  ShardSimulator fresh;
+  try {
+    fresh.resume(scenarios, records);
+    ADD_FAILURE() << "resume accepted a stream that should fail with: " << what;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos) << e.what();
+  }
 }
 
 TEST(DeviceCheckpoint, RecordRoundTripIsByteStable) {
@@ -141,13 +175,9 @@ TEST(ShardSimulator, CheckpointResumeBitIdenticalToUninterrupted) {
     first.begin(scenarios);
     for (int d = 0; d < k; ++d) first.step_day(&stats_a);
     ASSERT_EQ(first.day(), k);
-    std::vector<DeviceCheckpoint> cps;
-    first.save_checkpoints(cps);
-    ASSERT_EQ(cps.size(), scenarios.size());
-
     ShardSimulator second;
     LongitudinalStats stats_b(kTotalDays);
-    second.resume(scenarios, cps);
+    second.resume(scenarios, saved_records(first));
     EXPECT_EQ(second.day(), k);
     while (second.step_day(&stats_b)) {
     }
@@ -168,19 +198,16 @@ TEST(ShardSimulator, DoubleSplitMatchesToo) {
   }
   const std::string expected = rows_of(uninterrupted);
 
-  std::vector<DeviceCheckpoint> cps;
   ShardSimulator a;
   a.begin(scenarios);
   a.step_day();
   a.step_day();
-  a.save_checkpoints(cps);
   ShardSimulator b;
-  b.resume(scenarios, cps);
+  b.resume(scenarios, saved_records(a));
   b.step_day();
   b.step_day();
-  b.save_checkpoints(cps);
   ShardSimulator c;
-  c.resume(scenarios, cps);
+  c.resume(scenarios, saved_records(b));
   while (c.step_day()) {
   }
   EXPECT_EQ(expected, rows_of(c));
@@ -191,24 +218,80 @@ TEST(ShardSimulator, ResumeValidatesCheckpointsAgainstScenarios) {
   ShardSimulator sim;
   sim.begin(scenarios);
   sim.step_day();
-  std::vector<DeviceCheckpoint> cps;
-  sim.save_checkpoints(cps);
+  const std::vector<std::uint8_t> records = saved_records(sim);
+  const std::vector<DeviceCheckpoint> cps = decode_records(records);
+  ASSERT_EQ(cps.size(), scenarios.size());
+  ASSERT_EQ(encode_records(cps), records);
 
-  ShardSimulator fresh;
-  std::vector<DeviceCheckpoint> wrong_count(cps.begin(), cps.end() - 1);
-  EXPECT_THROW(fresh.resume(scenarios, wrong_count), Error);
+  // One record short: whole records, but not one per scenario.
+  const std::vector<std::uint8_t> wrong_count(
+      records.begin(), records.end() - static_cast<std::ptrdiff_t>(kDeviceCheckpointBytes));
+  expect_resume_error(scenarios, wrong_count, "checkpoint/scenario count mismatch");
 
   std::vector<DeviceCheckpoint> wrong_device = cps;
   wrong_device[0].outcome.device_id += 1;
-  EXPECT_THROW(fresh.resume(scenarios, wrong_device), Error);
+  expect_resume_error(scenarios, encode_records(wrong_device),
+                      "checkpoint is for a different device");
 
   std::vector<DeviceCheckpoint> wrong_seed = cps;
   wrong_seed[2].rng.seed ^= 1;
-  EXPECT_THROW(fresh.resume(scenarios, wrong_seed), Error);
+  expect_resume_error(scenarios, encode_records(wrong_seed),
+                      "checkpoint RNG does not match the scenario");
 
   std::vector<DeviceCheckpoint> torn = cps;
   torn[1].days_run += 1;  // lane ahead of the shard clock
-  EXPECT_THROW(fresh.resume(scenarios, torn), Error);
+  expect_resume_error(scenarios, encode_records(torn),
+                      "inconsistent per-device day counts");
+
+  std::vector<DeviceCheckpoint> behind = cps;
+  behind.back().days_run = 0;  // lane behind the shard clock, short of its horizon
+  expect_resume_error(scenarios, encode_records(behind),
+                      "inconsistent per-device day counts");
+
+  std::vector<DeviceCheckpoint> past = cps;
+  for (DeviceCheckpoint& cp : past) cp.days_run = 4;  // the scenarios run 3 days
+  expect_resume_error(scenarios, encode_records(past),
+                      "checkpoint is past the scenario horizon");
+}
+
+TEST(ShardSimulator, ResumeRejectsTruncatedRecordStream) {
+  // A stream cut inside a record (the tail of a short read) must throw, not
+  // decode the partial record or leave the last lane at its fresh state.
+  const std::vector<Scenario> scenarios = matrix_scenarios(3);
+  ShardSimulator sim;
+  sim.begin(scenarios);
+  sim.step_day();
+  const std::vector<std::uint8_t> records = saved_records(sim);
+  for (const std::size_t cut : {std::size_t{1}, kDeviceCheckpointBytes - 1,
+                                kDeviceCheckpointBytes + 7, records.size() - 1}) {
+    const std::vector<std::uint8_t> truncated(
+        records.begin(), records.end() - static_cast<std::ptrdiff_t>(cut));
+    expect_resume_error(scenarios, truncated, "truncated checkpoint record");
+  }
+  expect_resume_error(scenarios, {}, "checkpoint/scenario count mismatch");
+}
+
+TEST(ShardSimulator, ResumeAcceptsLanesThatFinishedEarly) {
+  // Lanes with a shorter scenario stop early and keep their last state; a
+  // cut after they finished saves their own day count, not the shard clock.
+  std::vector<Scenario> scenarios = matrix_scenarios(4);
+  scenarios[3].days = 1;
+  scenarios[7].days = 2;
+  ShardSimulator uninterrupted;
+  uninterrupted.begin(scenarios);
+  while (uninterrupted.step_day()) {
+  }
+  ShardSimulator first;
+  first.begin(scenarios);
+  first.step_day();
+  first.step_day();
+  first.step_day();
+  ShardSimulator second;
+  second.resume(scenarios, saved_records(first));
+  EXPECT_EQ(second.day(), 3);
+  while (second.step_day()) {
+  }
+  EXPECT_EQ(rows_of(uninterrupted), rows_of(second));
 }
 
 TEST(ShardSimulator, CheckpointResumeWithClassificationApp) {
@@ -236,10 +319,8 @@ TEST(ShardSimulator, CheckpointResumeWithClassificationApp) {
   first.begin(scenarios);
   first.step_day();
   first.step_day();
-  std::vector<DeviceCheckpoint> cps;
-  first.save_checkpoints(cps);
   ShardSimulator second(&app);
-  second.resume(scenarios, cps);
+  second.resume(scenarios, saved_records(first));
   while (second.step_day()) {
   }
   EXPECT_EQ(expected, rows_of(second));

@@ -134,6 +134,16 @@ TEST(LongitudinalShard, PlanCoversPopulationInEqualShardsWithinCap) {
   EXPECT_EQ(plan.shards, 16u);
 }
 
+TEST(LongitudinalShard, DefaultCapPlansEightClaimsPerWorkerAt20k) {
+  // The default cap bounds each worker's lane state; at 20k devices on 4
+  // threads it cuts 32 shards of 625 (eight claims per worker), above the
+  // ~600-lane size under which the cohort kernel's packs lose coherence.
+  const ShardPlan plan = plan_shards(20000, 4, LongitudinalConfig{}.shard_size);
+  EXPECT_EQ(plan.shard_size, 625u);
+  EXPECT_EQ(plan.shards, 32u);
+  EXPECT_EQ(plan.workers, 4);
+}
+
 TEST(LongitudinalShard, StatsIndependentOfPartition) {
   // Every partition reduces to the one-thread run's bytes and reports the
   // plan it used. The 20k population runs one day on 1 and 4 threads at
